@@ -12,6 +12,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,9 +33,10 @@ from .lifted import (
     simulate_lifted_ode,
 )
 from .lifts import base_lie_bracket
+from .manifold import TangentPoint
 from .reportio import dumps, trajectory_rows, write_csv
 from .scenario import Scenario, load_scenario
-from .subspace import SubspaceBasis
+from .subspace import SubspaceBasis, span_basis
 from .vertical import (
     fiber_controllable_vertical,
     reachable_vertical,
@@ -141,6 +143,16 @@ def cmd_lift_check(run: _Run) -> tuple:
     return payload, EXIT_OK if all_pass else EXIT_NUMERICAL_FAILURE
 
 
+def _discrepancy(closed, ode_end) -> float:
+    """Largest coordinate gap between a closed-form and an ODE endpoint."""
+    return float(
+        max(
+            np.max(np.abs(closed.fiber - ode_end.fiber)),
+            np.max(np.abs(closed.base.coords - ode_end.base.coords)),
+        )
+    )
+
+
 def _simulate_vertical(run: _Run) -> dict:
     block = run.scenario.vertical
     control = block.control
@@ -158,12 +170,7 @@ def _simulate_vertical(run: _Run) -> dict:
     if block.is_affine:
         closed = solve_vertical_closed_form(block.system, block.initial, control, block.horizon)
         payload["closed_form"] = _tangent_payload(closed)
-        payload["discrepancy"] = float(
-            max(
-                np.max(np.abs(closed.fiber - ode_end.fiber)),
-                np.max(np.abs(closed.base.coords - ode_end.base.coords)),
-            )
-        )
+        payload["discrepancy"] = _discrepancy(closed, ode_end)
     return payload
 
 
@@ -175,17 +182,10 @@ def _simulate_lifted(run: _Run) -> dict:
     traj = simulate_lifted_ode(block.system, block.initial, control, run.cfg)
     run.write_trajectory("lifted", traj)
     closed = endpoint_closed_form(block.system, block.initial, control, run.cfg)
-    ode_end = traj.final
-    discrepancy = float(
-        max(
-            np.max(np.abs(closed.fiber - ode_end.fiber)),
-            np.max(np.abs(closed.base.coords - ode_end.base.coords)),
-        )
-    )
     return {
         "closed_form": _tangent_payload(closed),
-        "ode": _tangent_payload(ode_end),
-        "discrepancy": discrepancy,
+        "ode": _tangent_payload(traj.final),
+        "discrepancy": _discrepancy(closed, traj.final),
         "horizon": block.horizon,
     }
 
@@ -263,20 +263,17 @@ def cmd_reachable(run: _Run) -> tuple:
         }
     if scenario.lifted is not None:
         block = scenario.lifted
-        report = fiber_controllability_report(
-            block.system,
-            block.initial,
-            block.horizon,
-            N=run.grid,
-            k_max=block.k_max,
-            tol=run.args.rank_tol,
-            cfg=run.cfg,
+        dim = scenario.manifold.dim
+        grid = build_transport_grid(
+            block.system, block.initial.base, block.horizon, max(run.grid, dim), run.cfg
         )
+        anchor = TangentPoint(grid.flow.final_point, grid.endpoint_jacobian @ block.initial.fiber)
+        transport_span = span_basis(grid.transported.reshape(-1, dim), run.args.rank_tol)
         payload["lifted"] = {
-            "anchor": _tangent_payload(report.anchor),
-            "basis": _basis_payload(report.image_basis),
-            "controllable": report.verdict_transport,
-            "horizon": report.horizon,
+            "anchor": _tangent_payload(anchor),
+            "basis": _basis_payload(span_basis(grid.columns.reshape(-1, dim), run.args.rank_tol)),
+            "controllable": transport_span.spans_dimension(dim),
+            "horizon": block.horizon,
         }
     return payload, EXIT_OK
 
@@ -374,6 +371,21 @@ _COMMANDS = {
 }
 
 
+def _flag(kind, accept, requirement: str):
+    """argparse type: parse with ``kind``, keep only values ``accept`` passes."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tanlift",
@@ -383,10 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS), help="analysis to run")
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     parser.add_argument("--seed", type=int, default=42, help="RNG seed for sampled checks")
-    parser.add_argument("--step", type=float, default=1e-3, help="RK4 step size")
-    parser.add_argument("--max-steps", type=int, default=1_000_000, help="integrator step budget")
-    parser.add_argument("--grid", type=int, default=None, help="transport grid segments (default 64)")
-    parser.add_argument("--rank-tol", type=float, default=1e-8, help="relative singular value cutoff")
+    step = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+    parser.add_argument("--step", type=step, default=1e-3, help="RK4 step size")
+    budget = _flag(int, lambda v: v >= 1, "an integer >= 1")
+    parser.add_argument("--max-steps", type=budget, default=1_000_000, help="RK4 step budget")
+    grid = _flag(int, lambda v: v >= 2, "an integer >= 2")
+    parser.add_argument("--grid", type=grid, default=None, help="transport grid segments, default 64")
+    tol = _flag(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+    parser.add_argument("--rank-tol", type=tol, default=1e-8, help="relative singular value cutoff")
     parser.add_argument("--out", default=None, help="directory for reports and CSV trajectories")
     return parser
 
@@ -401,13 +417,13 @@ def main(argv=None) -> int:
     try:
         run = _Run(args)
         payload, code = _COMMANDS[args.command](run)
+        run.emit(args.command, payload, started)
     except (ScenarioError, ExpressionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (TanliftError, np.linalg.LinAlgError, ValueError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    run.emit(args.command, payload, started)
     return code
 
 

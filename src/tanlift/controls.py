@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -81,3 +82,14 @@ class ControlSignal:
         values = np.zeros((segments, channels))
         values[segment, channel] = segments / horizon
         return cls(horizon=horizon, values=values)
+
+
+def segment_boundaries(u: Optional[ControlSignal], horizon: Optional[float], channels: int):
+    """Boundaries of the segments of u, or [0, horizon] when there is no control."""
+    if u is None:
+        if horizon is None:
+            raise ValueError("need a control signal or an explicit horizon")
+        return np.array([0.0, horizon])
+    if u.channels != channels:
+        raise ValueError(f"control has {u.channels} channels, system expects {channels}")
+    return u.boundaries

@@ -17,20 +17,17 @@ import numpy as np
 
 from .errors import ChartDomainError, DomainExitError, NumericalError, StepBudgetError
 from .lifts import ad_iterate
-from .manifold import DEFAULT_DERIV_STEP, BasePoint, ChartManifold, TangentPoint, VectorField
+from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings; the only supported method."""
+    """Fixed-step classical RK4 settings."""
 
     step: float = 1e-3
     max_steps: int = 1_000_000
-    method: str = "rk4"
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValueError(f"unsupported integrator {self.method!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.max_steps < 1:
@@ -130,62 +127,79 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
     return times, states
 
 
+def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: ChartManifold):
+    """RK4 over consecutive segments [boundaries[k], boundaries[k + 1]].
+
+    ``rhs_for(k)`` is the right-hand side on segment k and ``steps(span)``
+    its step count, so no step crosses a boundary.  Returns (times, rows,
+    offsets): each node once, segment k spanning rows offsets[k] through
+    offsets[k + 1].  The leading ``manifold.dim`` entries of a row are base
+    coordinates; every base row but the last was domain-checked as the
+    first stage of the next step, so only the last is checked here.  A
+    non-finite row raises NumericalError naming its time.
+    """
+    times = [np.asarray(boundaries[:1], dtype=float)]
+    rows = [z0[None, :]]
+    offsets = [0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(boundaries) - 1):
+            n_steps = steps(boundaries[k + 1] - boundaries[k])
+            seg_times, seg_rows = integrate_fixed(
+                rhs_for(k), z0, boundaries[k], boundaries[k + 1], n_steps
+            )
+            times.append(seg_times[1:])
+            rows.append(seg_rows[1:])
+            offsets.append(offsets[-1] + n_steps)
+            z0 = seg_rows[-1]
+    times = np.concatenate(times)
+    rows = np.concatenate(rows, axis=0)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalError(f"non-finite state at t = {times[k]:.6g}")
+    final = rows[-1, : manifold.dim]
+    if not manifold.in_domain(final):
+        raise DomainExitError(
+            f"trajectory left chart '{manifold.name}' at t = {times[-1]:.6g}",
+            coords=final,
+            time=float(times[-1]),
+        )
+    return times, rows, offsets
+
+
+def variational_rhs(Y: VectorField):
+    """Right-hand side of the base flow of Y joined with dJ/dt = J_Y(x) J."""
+    n = Y.manifold.dim
+
+    def rhs(t, z):
+        x = z[:n]
+        return np.concatenate([Y.at(x), (Y.jacobian_at(x) @ z[n:].reshape(n, n)).ravel()])
+
+    return rhs
+
+
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative)."""
-    n_steps = cfg.steps_for(T)
-    if n_steps == 0:
-        return FlowResult(
-            manifold=x0.manifold,
-            times=np.zeros(1),
-            states=x0.coords[None, :].copy(),
-        )
-    times, states = integrate_fixed(lambda t, x: Y.at(x), x0.coords, 0.0, T, n_steps)
-    for k, row in enumerate(states):
-        if not x0.manifold.in_domain(row):
-            raise DomainExitError(
-                f"flow state left chart '{x0.manifold.name}' at t = {times[k]:.6g}",
-                coords=row,
-                time=float(times[k]),
-            )
+    times, states, _ = integrate_segments(
+        lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for, x0.manifold
+    )
     return FlowResult(manifold=x0.manifold, times=times, states=states)
 
 
 def flow_with_jacobians(
-    Y: VectorField,
-    x0: BasePoint,
-    T: float,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-    deriv_step: float = DEFAULT_DERIV_STEP,
+    Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> FlowResult:
     """Flow plus the variational equation; Jacobians stored at every node."""
     n = x0.manifold.dim
-    n_steps = cfg.steps_for(T)
-    eye = np.eye(n)
-    if n_steps == 0:
-        return FlowResult(
-            manifold=x0.manifold,
-            times=np.zeros(1),
-            states=x0.coords[None, :].copy(),
-            jacobians=eye[None, :, :].copy(),
-        )
-
-    def rhs(t, z):
-        x = z[:n]
-        J = z[n:].reshape(n, n)
-        return np.concatenate([Y.at(x), (Y.jacobian_at(x, deriv_step) @ J).ravel()])
-
-    z0 = np.concatenate([x0.coords, eye.ravel()])
-    times, rows = integrate_fixed(rhs, z0, 0.0, T, n_steps)
-    states = rows[:, :n]
-    jacobians = rows[:, n:].reshape(-1, n, n)
-    for k, row in enumerate(states):
-        if not x0.manifold.in_domain(row):
-            raise DomainExitError(
-                f"flow state left chart '{x0.manifold.name}' at t = {times[k]:.6g}",
-                coords=row,
-                time=float(times[k]),
-            )
-    return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
+    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
+    rhs = variational_rhs(Y)
+    times, rows, _ = integrate_segments(lambda k: rhs, z0, [0.0, T], cfg.steps_for, x0.manifold)
+    return FlowResult(
+        manifold=x0.manifold,
+        times=times,
+        states=rows[:, :n],
+        jacobians=rows[:, n:].reshape(-1, n, n),
+    )
 
 
 def flow_differential(

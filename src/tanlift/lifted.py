@@ -16,18 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import ControlSignal
+from .controls import ControlSignal, segment_boundaries
 from .errors import AlignmentError, TargetBaseError, UnreachableTargetError
-from .flows import (
+from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
     FlowResult,
     IntegratorConfig,
     TangentTrajectory,
     integrate_fixed,
+    integrate_segments,
     pullback_vector,
+    variational_rhs,
 )
 from .lifts import base_lie_bracket
-from .manifold import DEFAULT_DERIV_STEP, BasePoint, ChartManifold, TangentPoint, VectorField
+from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
 
 _BOUNDARY_RTOL = 1e-9
@@ -111,17 +113,6 @@ class ControllabilityReport:
     caveat: Optional[str] = None
 
 
-def _joint_rhs(sys: LiftedSystem, deriv_step: float):
-    n = sys.manifold.dim
-
-    def rhs(t, z):
-        x = z[:n]
-        J = z[n:].reshape(n, n)
-        return np.concatenate([sys.drift.at(x), (sys.drift.jacobian_at(x, deriv_step) @ J).ravel()])
-
-    return rhs
-
-
 def _even_substeps(span: float, cfg: IntegratorConfig) -> int:
     n_sub = max(2, cfg.steps_for(span))
     return n_sub + (n_sub % 2)
@@ -137,39 +128,26 @@ def _simpson_weights(n_sub: int, h: float) -> np.ndarray:
 def _transport_segments(sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig):
     """One joint flow pass with per-segment Simpson transport integrals.
 
-    Returns (x_T, J_T, Z, node_times, node_x, node_J) where
+    Returns (x_T, J_T, Z, node_times, node_x, node_J, node_pulled) where
     Z[k, i] = integral over segment k of the pulled-back direction i, in
     the initial tangent space; push by J_T to land in the endpoint fiber.
-    Node arrays hold the values at the segment boundaries only.
+    Node arrays hold the values at the segment boundaries only, and
+    ``node_pulled[k, i]`` is direction i pulled back at boundary k.
     """
     n = sys.manifold.dim
-    m = sys.control_dim
-    rhs = _joint_rhs(sys, DEFAULT_DERIV_STEP)
-    x = x0.coords.copy()
-    J = np.eye(n)
-    K = len(boundaries) - 1
-    Z = np.zeros((K, m, n))
-    node_x = [x.copy()]
-    node_J = [J.copy()]
-    for k in range(K):
-        a, b = boundaries[k], boundaries[k + 1]
-        n_sub = _even_substeps(b - a, cfg)
-        z0 = np.concatenate([x, J.ravel()])
-        _, rows = integrate_fixed(rhs, z0, a, b, n_sub)
-        pulled = np.empty((n_sub + 1, m, n))
-        for j in range(n_sub + 1):
-            xj = rows[j, :n]
-            sys.manifold.check(xj)
-            Jj = rows[j, n:].reshape(n, n)
-            for i, X in enumerate(sys.controls):
-                pulled[j, i] = pullback_vector(Jj, X.at(xj))
-        weights = _simpson_weights(n_sub, (b - a) / n_sub)
-        Z[k] = np.tensordot(weights, pulled, axes=(0, 0))
-        x = rows[-1, :n]
-        J = rows[-1, n:].reshape(n, n)
-        node_x.append(x.copy())
-        node_J.append(J.copy())
-    return x, J, Z, np.asarray(boundaries, float), np.array(node_x), np.array(node_J)
+    rhs = variational_rhs(sys.drift)
+    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
+    times, rows, offsets = integrate_segments(
+        lambda k: rhs, z0, boundaries, lambda span: _even_substeps(span, cfg), sys.manifold
+    )
+    xs = rows[:, :n]
+    Js = rows[:, n:].reshape(-1, n, n)
+    pulled = np.array([[pullback_vector(J, X.at(x)) for X in sys.controls] for x, J in zip(xs, Js)])
+    Z = np.empty((len(boundaries) - 1, sys.control_dim, n))
+    for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
+        h = (boundaries[k + 1] - boundaries[k]) / (end - start)
+        Z[k] = np.tensordot(_simpson_weights(end - start, h), pulled[start : end + 1], axes=(0, 0))
+    return xs[-1], Js[-1], Z, times[offsets], xs[offsets], Js[offsets], pulled[offsets]
 
 
 def simulate_lifted_ode(
@@ -185,19 +163,10 @@ def simulate_lifted_ode(
     fiber obeys dy/dt = J_Y(x) y + sum_i u_i Xi(x).  Steps never
     straddle a control segment boundary.
     """
-    T = u.horizon if u is not None else horizon
-    if T is None:
-        raise ValueError("need a control signal or an explicit horizon")
-    if u is not None and u.channels != sys.control_dim:
-        raise ValueError(f"control has {u.channels} channels, system expects {sys.control_dim}")
+    boundaries = segment_boundaries(u, horizon, sys.control_dim)
     n = sys.manifold.dim
-    boundaries = u.boundaries if u is not None else np.array([0.0, T])
-    times = [np.zeros(1)]
-    bases = [v0.base.coords[None, :].copy()]
-    fibers = [v0.fiber[None, :].copy()]
-    state = np.concatenate([v0.base.coords, v0.fiber])
-    for k in range(len(boundaries) - 1):
-        a, b = boundaries[k], boundaries[k + 1]
+
+    def rhs_for(k):
         u_seg = u.values[k] if u is not None else None
 
         def rhs(t, z):
@@ -208,16 +177,13 @@ def simulate_lifted_ode(
                     ydot = ydot + ui * X.at(x)
             return np.concatenate([sys.drift.at(x), ydot])
 
-        seg_times, rows = integrate_fixed(rhs, state, a, b, cfg.steps_for(b - a))
-        times.append(seg_times[1:])
-        bases.append(rows[1:, :n])
-        fibers.append(rows[1:, n:])
-        state = rows[-1]
+        return rhs
+
+    times, rows, _ = integrate_segments(
+        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
+    )
     return TangentTrajectory(
-        manifold=sys.manifold,
-        times=np.concatenate(times),
-        bases=np.concatenate(bases, axis=0),
-        fibers=np.concatenate(fibers, axis=0),
+        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
     )
 
 
@@ -237,12 +203,7 @@ def endpoint_closed_form(
     segmentation, so piecewise-constant inputs are handled exactly up to
     flow and quadrature error.
     """
-    T = u.horizon if u is not None else horizon
-    if T is None:
-        raise ValueError("need a control signal or an explicit horizon")
-    if u is not None and u.channels != sys.control_dim:
-        raise ValueError(f"control has {u.channels} channels, system expects {sys.control_dim}")
-    boundaries = u.boundaries if u is not None else np.array([0.0, T])
+    boundaries = segment_boundaries(u, horizon, sys.control_dim)
     x_T, J_T, Z, *_ = _transport_segments(sys, v0.base, boundaries, cfg)
     fiber = J_T @ v0.fiber
     if u is not None:
@@ -261,24 +222,19 @@ def build_transport_grid(
 ) -> TransportOperatorGrid:
     """Transported directions sampled at N+1 uniform nodes of [0, T].
 
-    One forward pass integrates the flow and its differential; node
-    Jacobians are then reused for every pullback instead of
-    re-integrating per node.
+    One forward pass integrates the flow and its differential and pulls
+    each control back once per node; the boundary pullbacks are reused
+    here instead of solving again.
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
     if T <= 0:
         raise ValueError("horizon must be positive")
     boundaries = np.linspace(0.0, T, N + 1)
-    _, J_T, _, node_times, node_x, node_J = _transport_segments(sys, x0, boundaries, cfg)
-    n = sys.manifold.dim
-    m = sys.control_dim
-    transported = np.empty((N + 1, m, n))
-    columns = np.empty((N + 1, m, n))
-    for k in range(N + 1):
-        for i, X in enumerate(sys.controls):
-            transported[k, i] = pullback_vector(node_J[k], X.at(node_x[k]))
-            columns[k, i] = J_T @ transported[k, i]
+    _, J_T, _, node_times, node_x, node_J, transported = _transport_segments(
+        sys, x0, boundaries, cfg
+    )
+    columns = np.array([[J_T @ w for w in row] for row in transported])
     flow_result = FlowResult(
         manifold=sys.manifold, times=node_times, states=node_x, jacobians=node_J
     )

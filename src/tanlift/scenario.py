@@ -9,6 +9,7 @@ and the bump-convergence study.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -85,9 +86,13 @@ def _initial_point(manifold: ChartManifold, block: dict, context: str) -> Tangen
 
 
 def _horizon(block: dict, context: str) -> float:
-    horizon = float(_require(block, "horizon", context))
-    if horizon <= 0:
-        raise ScenarioError(f"{context}: horizon must be positive, got {horizon}")
+    raw = _require(block, "horizon", context)
+    try:
+        horizon = float(raw)
+    except (TypeError, ValueError):
+        horizon = math.nan
+    if not 0 < horizon < math.inf:
+        raise ScenarioError(f"{context}: horizon must be a finite positive number, got {raw!r}")
     return horizon
 
 
@@ -95,7 +100,12 @@ def _control(block: dict, horizon: float, channels: int, context: str) -> Option
     values = block.get("control_values")
     if values is None:
         return None
-    arr = np.atleast_2d(np.asarray(values, dtype=float))
+    try:
+        arr = np.atleast_2d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"{context}: control_values must be rows of numbers: {err}") from err
+    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{context}: control_values must be rows of finite numbers")
     if arr.shape[1] != channels:
         raise ScenarioError(
             f"{context}: control rows have {arr.shape[1]} entries, system has {channels} controls"

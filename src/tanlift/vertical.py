@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlSignal
+from .controls import ControlSignal, segment_boundaries
 from .errors import UnreachableTargetError
-from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, integrate_fixed
+from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, integrate_segments
 from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
 
@@ -118,40 +118,23 @@ def simulate_vertical_ode(
 ) -> TangentTrajectory:
     """Direct RK4 integration of a vertical system on the tangent bundle.
 
-    Integration restarts at every control segment boundary so the
-    piecewise-constant input is never straddled by a step.  The base
+    No step straddles a control segment boundary, so every step sees
+    one constant input.  The base
     block of the state has identically zero velocity, so base
     coordinates stay exactly equal to the initial ones.
     """
-    T = u.horizon if u is not None else horizon
-    if T is None:
-        raise ValueError("need a control signal or an explicit horizon")
-    x0 = v0.base.coords
+    boundaries = segment_boundaries(u, horizon, sys.control_dim)
     n = sys.manifold.dim
-    boundaries = u.boundaries if u is not None else np.array([0.0, T])
-    times = [np.zeros(1)]
-    bases = [x0[None, :].copy()]
-    fibers = [v0.fiber[None, :].copy()]
-    y = v0.fiber.copy()
-    for k in range(len(boundaries) - 1):
-        a, b = boundaries[k], boundaries[k + 1]
+
+    def rhs_for(k):
         u_seg = u.values[k] if u is not None else None
-        n_steps = cfg.steps_for(b - a)
+        return lambda t, z: np.concatenate([np.zeros(n), sys.fiber_velocity(z[:n], z[n:], u_seg)])
 
-        def rhs(t, z):
-            return np.concatenate([np.zeros(n), sys.fiber_velocity(z[:n], z[n:], u_seg)])
-
-        seg_times, rows = integrate_fixed(rhs, np.concatenate([x0, y]), a, b, n_steps)
-        times.append(seg_times[1:])
-        bases.append(rows[1:, :n])
-        fibers.append(rows[1:, n:])
-        x0 = rows[-1, :n]
-        y = rows[-1, n:]
+    times, rows, _ = integrate_segments(
+        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
+    )
     return TangentTrajectory(
-        manifold=sys.manifold,
-        times=np.concatenate(times),
-        bases=np.concatenate(bases, axis=0),
-        fibers=np.concatenate(fibers, axis=0),
+        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
     )
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +69,28 @@ def test_scenario_rejects_bad_horizon(tmp_path):
             "horizon": -1.0,
         },
     }
-    with pytest.raises(ScenarioError, match="horizon"):
-        load_scenario(write_scenario(tmp_path, doc))
+    for horizon in (-1.0, math.nan, math.inf):
+        doc["lifted_system"]["horizon"] = horizon
+        with pytest.raises(ScenarioError, match="horizon"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+
+def test_scenario_rejects_bad_control_values(tmp_path):
+    doc = {
+        "schema": "tanlift-scenario-v1",
+        "manifold": "R2",
+        "fields": {"Y": ["0", "x1"], "X1": ["1", "0"]},
+        "lifted_system": {
+            "drift": "Y",
+            "controls": ["X1"],
+            "initial": {"base": [0, 0], "fiber": [0, 0]},
+            "horizon": 1.0,
+        },
+    }
+    for values in ([["a"]], [[math.nan]], [[math.inf], [0.0]]):
+        doc["lifted_system"]["control_values"] = values
+        with pytest.raises(ScenarioError, match="control_values"):
+            load_scenario(write_scenario(tmp_path, doc))
 
 
 def test_scenario_rejects_wrong_dimensions(tmp_path):
@@ -234,6 +256,52 @@ def test_domain_exit_is_numerical_failure(capsys, tmp_path):
     }
     code, _, _ = run_cli(capsys, "simulate", "--scenario", write_scenario(tmp_path, doc))
     assert code == 3
+
+
+def test_non_finite_state_is_numerical_failure(capsys, tmp_path):
+    doc = {
+        "schema": "tanlift-scenario-v1",
+        "manifold": "R2",
+        "vertical_system": {
+            "fiber_dynamics": ["y1*y1", "0"],
+            "initial": {"base": [0, 0], "fiber": [1, 1]},
+            "horizon": 2.0,
+        },
+    }
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    # y' = y^2 from y = 1 blows up at t = 1; RK4 overflows a few steps later.
+    assert re.search(r"non-finite state at t = 1\.0\d*", captured.err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--step", "0"),
+        ("--step", "-1"),
+        ("--step", "nan"),
+        ("--step", "inf"),
+        ("--max-steps", "0"),
+        ("--grid", "0"),
+        ("--grid", "1"),
+        ("--rank-tol", "nan"),
+        ("--rank-tol", "0"),
+        ("--rank-tol", "1"),
+    ],
+)
+def test_bad_flag_is_input_error(capsys, flag, value):
+    code = main(["bump-convergence", "--scenario", str(SCENARIOS / "r2_shear.json"), flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
 
 
 def test_missing_scenario_file(capsys):

@@ -4,6 +4,7 @@ import pytest
 from tanlift import (
     DomainExitError,
     IntegratorConfig,
+    NumericalError,
     StepBudgetError,
     base_lie_bracket,
     constant_field,
@@ -13,6 +14,7 @@ from tanlift import (
     transported_derivatives,
     transported_field,
 )
+from tanlift.flows import integrate_segments
 
 from conftest import random_smooth_field
 
@@ -60,6 +62,33 @@ def test_flow_domain_exit_reports_time(s2):
         flow(Y, s2.point([0.8, 0.0]), 5.0)
     assert err.value.time is not None
     assert 2.0 < err.value.time < 2.5
+
+
+def test_integrate_segments_shares_boundary_rows(r2, shear_fields):
+    Y, _ = shear_fields
+    boundaries = np.array([0.0, 0.25, 1.0])
+    times, rows, offsets = integrate_segments(
+        lambda k: lambda t, x: Y.at(x), np.array([2.0, -1.0]), boundaries, lambda span: 4, r2
+    )
+    assert offsets == [0, 4, 8]
+    assert rows.shape == (9, 2) and times.shape == (9,)
+    assert np.array_equal(times[offsets], boundaries)
+    assert np.max(np.abs(rows[-1] - [2.0, 1.0])) < 1e-12
+
+
+def test_integrate_segments_checks_final_row(s2):
+    # A right-hand side that never evaluates a field leaves the final row
+    # as the only one the driver checks against the chart.
+    drift = lambda t, x: np.array([1.0, 0.0])
+    with pytest.raises(DomainExitError) as err:
+        integrate_segments(lambda k: drift, np.array([0.8, 0.0]), [0.0, 5.0], lambda span: 1, s2)
+    assert err.value.time == 5.0
+
+
+def test_integrate_segments_names_non_finite_time(r2):
+    blow_up = lambda t, z: z * z
+    with pytest.raises(NumericalError, match=r"non-finite state at t = 1\.0"):
+        integrate_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], lambda span: 100, r2)
 
 
 def test_flow_step_budget(r2, shear_fields):
