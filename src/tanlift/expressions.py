@@ -9,6 +9,7 @@ through lambdify.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Sequence
 
@@ -148,15 +149,6 @@ def parse_expression(src: str, symbols: dict) -> sp.Expr:
     return _Parser(src, symbols).parse()
 
 
-def _lambdify_vector(exprs, args):
-    funcs = [sp.lambdify(args, e, modules="numpy") for e in exprs]
-
-    def evaluate(*values):
-        return np.array([float(f(*values)) for f in funcs])
-
-    return evaluate
-
-
 def field_from_expressions(
     manifold: ChartManifold, exprs: Sequence[str], name: str = "X"
 ) -> VectorField:
@@ -177,16 +169,19 @@ def field_from_expressions(
 
 
 def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: str) -> VectorField:
-    """Wrap a sympy column matrix (and its Jacobian) as a VectorField."""
-    jac_matrix = column.jacobian(args)
-    f_vec = _lambdify_vector(list(column), args)
-    f_jac = sp.lambdify(args, jac_matrix, modules="numpy")
+    """Wrap a sympy column matrix as a VectorField.
+
+    The coefficient vector compiles to one function here; the Jacobian
+    is differentiated and compiled on the first ``jacobian_at``.
+    """
+    f_vec = sp.lambdify(args, list(column), modules="numpy")
+    f_jac = functools.cache(lambda: sp.lambdify(args, column.jacobian(args), modules="numpy"))
 
     def func(x):
-        return f_vec(*x)
+        return np.array(f_vec(*x), dtype=float)
 
     def jac(x):
-        return np.asarray(f_jac(*x), dtype=float).reshape(manifold.dim, manifold.dim)
+        return np.asarray(f_jac()(*x), dtype=float).reshape(manifold.dim, manifold.dim)
 
     return VectorField(
         manifold=manifold, func=func, jac=jac, name=name, sym=(column, tuple(args))
@@ -212,10 +207,10 @@ def fiber_dynamics_from_expressions(
     args += [table[f"y{i + 1}"] for i in range(n)]
     args += [table[f"u{i + 1}"] for i in range(control_dim)]
     parsed = [parse_expression(src, table) for src in exprs]
-    f_vec = _lambdify_vector(parsed, args)
+    f_vec = sp.lambdify(args, parsed, modules="numpy")
 
     def dynamics(x, y, u):
         u = np.zeros(control_dim) if u is None else np.asarray(u, dtype=float)
-        return f_vec(*x, *y, *u)
+        return np.array(f_vec(*x, *y, *u), dtype=float)
 
     return dynamics

@@ -109,7 +109,8 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
     """RK4 over [t0, t1] in n_steps equal steps; returns (times, states).
 
     ChartDomainError raised by the right-hand side is rewrapped as a
-    DomainExitError carrying the time of the failing step.
+    DomainExitError carrying the time of the failing step, or as a
+    NumericalError when the rejected coordinates are not finite.
     """
     times = np.linspace(t0, t1, n_steps + 1)
     states = np.empty((n_steps + 1, z0.size))
@@ -119,6 +120,8 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
         try:
             states[k + 1] = _rk4_step(f, times[k], states[k], h)
         except ChartDomainError as err:
+            if err.coords is not None and not np.isfinite(err.coords).all():
+                raise NumericalError(f"non-finite state at t = {times[k]:.6g}") from err
             raise DomainExitError(
                 f"trajectory left the chart domain near t = {times[k]:.6g}: {err}",
                 coords=err.coords,
@@ -141,7 +144,7 @@ def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: Cha
     times = [np.asarray(boundaries[:1], dtype=float)]
     rows = [z0[None, :]]
     offsets = [0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(len(boundaries) - 1):
             n_steps = steps(boundaries[k + 1] - boundaries[k])
             seg_times, seg_rows = integrate_fixed(
@@ -172,7 +175,7 @@ def variational_rhs(Y: VectorField):
     n = Y.manifold.dim
 
     def rhs(t, z):
-        x = z[:n]
+        x = BasePoint(Y.manifold, z[:n])
         return np.concatenate([Y.at(x), (Y.jacobian_at(x) @ z[n:].reshape(n, n)).ravel()])
 
     return rhs

@@ -58,23 +58,28 @@ class LiftedSystem:
 
 @dataclass(frozen=True)
 class TransportOperatorGrid:
-    """Discretized control-to-fiber transport data on a uniform grid.
+    """Control-to-fiber transport data at the nodes of one joint flow pass.
 
     ``transported[k, i]`` is control direction i pulled back to the
     initial tangent space at node time ``times[k]``; ``columns[k, i]``
     is the same vector pushed forward to the endpoint fiber (the
-    integrand of the transport operator).  ``flow`` carries the node
-    states and flow Jacobians of the single integration pass behind
-    both.
+    integrand of the transport operator).  ``integrals[k, i]`` is the
+    Simpson integral of that integrand over segment k, from
+    ``times[k]`` to ``times[k + 1]``.  ``flow`` carries the node states
+    and flow Jacobians of the single integration pass behind all three.
     """
 
     system: LiftedSystem
     x0: BasePoint
-    horizon: float
     times: np.ndarray
     transported: np.ndarray
     columns: np.ndarray
+    integrals: np.ndarray
     flow: FlowResult
+
+    @property
+    def horizon(self) -> float:
+        return self.times[-1]
 
     @property
     def grid_segments(self) -> int:
@@ -125,14 +130,15 @@ def _simpson_weights(n_sub: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _transport_segments(sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig):
+def _transport_segments(
+    sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig
+) -> TransportOperatorGrid:
     """One joint flow pass with per-segment Simpson transport integrals.
 
-    Returns (x_T, J_T, Z, node_times, node_x, node_J, node_pulled) where
-    Z[k, i] = integral over segment k of the pulled-back direction i, in
-    the initial tangent space; push by J_T to land in the endpoint fiber.
-    Node arrays hold the values at the segment boundaries only, and
-    ``node_pulled[k, i]`` is direction i pulled back at boundary k.
+    The nodes of the returned grid are the segment boundaries.  Each
+    segment is integrated in an even number of RK4 steps, every step
+    state is pulled back once, and Simpson's rule over those states
+    gives the segment's integral before the push to the endpoint fiber.
     """
     n = sys.manifold.dim
     rhs = variational_rhs(sys.drift)
@@ -142,12 +148,22 @@ def _transport_segments(sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray
     )
     xs = rows[:, :n]
     Js = rows[:, n:].reshape(-1, n, n)
-    pulled = np.array([[pullback_vector(J, X.at(x)) for X in sys.controls] for x, J in zip(xs, Js)])
+    points = map(sys.manifold.point, xs)
+    pulled = np.array([[pullback_vector(J, X.at(p)) for X in sys.controls] for p, J in zip(points, Js)])
     Z = np.empty((len(boundaries) - 1, sys.control_dim, n))
     for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
         h = (boundaries[k + 1] - boundaries[k]) / (end - start)
         Z[k] = np.tensordot(_simpson_weights(end - start, h), pulled[start : end + 1], axes=(0, 0))
-    return xs[-1], Js[-1], Z, times[offsets], xs[offsets], Js[offsets], pulled[offsets]
+    J_T = Js[-1]
+    return TransportOperatorGrid(
+        system=sys,
+        x0=x0,
+        times=times[offsets],
+        transported=pulled[offsets],
+        columns=np.array([[J_T @ w for w in row] for row in pulled[offsets]]),
+        integrals=np.array([[J_T @ w for w in row] for row in Z]),
+        flow=FlowResult(sys.manifold, times[offsets], xs[offsets], Js[offsets]),
+    )
 
 
 def simulate_lifted_ode(
@@ -170,8 +186,8 @@ def simulate_lifted_ode(
         u_seg = u.values[k] if u is not None else None
 
         def rhs(t, z):
-            x, y = z[:n], z[n:]
-            ydot = sys.drift.jacobian_at(x) @ y
+            x = BasePoint(sys.manifold, z[:n])
+            ydot = sys.drift.jacobian_at(x) @ z[n:]
             if u_seg is not None:
                 for ui, X in zip(u_seg, sys.controls):
                     ydot = ydot + ui * X.at(x)
@@ -204,13 +220,13 @@ def endpoint_closed_form(
     flow and quadrature error.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
-    x_T, J_T, Z, *_ = _transport_segments(sys, v0.base, boundaries, cfg)
-    fiber = J_T @ v0.fiber
+    grid = _transport_segments(sys, v0.base, boundaries, cfg)
+    fiber = grid.endpoint_jacobian @ v0.fiber
     if u is not None:
         for k in range(u.segments):
             for i in range(u.channels):
-                fiber = fiber + u.values[k, i] * (J_T @ Z[k, i])
-    return TangentPoint(BasePoint(sys.manifold, x_T), fiber)
+                fiber = fiber + u.values[k, i] * grid.integrals[k, i]
+    return TangentPoint(grid.flow.final_point, fiber)
 
 
 def build_transport_grid(
@@ -223,30 +239,13 @@ def build_transport_grid(
     """Transported directions sampled at N+1 uniform nodes of [0, T].
 
     One forward pass integrates the flow and its differential and pulls
-    each control back once per node; the boundary pullbacks are reused
-    here instead of solving again.
+    each control back once per RK4 step state.
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
     if T <= 0:
         raise ValueError("horizon must be positive")
-    boundaries = np.linspace(0.0, T, N + 1)
-    _, J_T, _, node_times, node_x, node_J, transported = _transport_segments(
-        sys, x0, boundaries, cfg
-    )
-    columns = np.array([[J_T @ w for w in row] for row in transported])
-    flow_result = FlowResult(
-        manifold=sys.manifold, times=node_times, states=node_x, jacobians=node_J
-    )
-    return TransportOperatorGrid(
-        system=sys,
-        x0=x0,
-        horizon=T,
-        times=node_times,
-        transported=transported,
-        columns=columns,
-        flow=flow_result,
-    )
+    return _transport_segments(sys, x0, np.linspace(0.0, T, N + 1), cfg)
 
 
 def _segment_quadrature(columns: np.ndarray, k0: int, span: int, h: float) -> np.ndarray:
@@ -367,9 +366,7 @@ def ad_criterion(
         if k >= 2 and ranks[-1] == ranks[-2] == ranks[-3]:
             saturated = True
             break
-    final_rank = ranks[-1]
-    depth = next(k for k, r in enumerate(ranks) if r == final_rank)
-    basis = span_basis(vectors, tol)
+    depth = ranks.index(basis.rank)
     return AdCriterionResult(
         basis=basis,
         satisfied=basis.rank == dim,
@@ -441,8 +438,8 @@ def steer_lifted(
     initial fiber is solved by least squares against the per-segment
     transport integrals, giving the minimum-norm N-segment control.
     """
-    boundaries = np.linspace(0.0, T, N + 1)
-    x_T, J_T, Z, *_ = _transport_segments(sys, v0.base, boundaries, cfg)
+    grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
+    x_T = grid.flow.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))
     if base_err > base_tol:
         raise TargetBaseError(
@@ -450,13 +447,10 @@ def steer_lifted(
             f"{target.base.coords.tolist()} is {base_err:.3e} away from the drift endpoint "
             f"{x_T.tolist()}"
         )
-    m = sys.control_dim
-    n = sys.manifold.dim
-    M = np.empty((n, N * m))
-    for k in range(N):
-        for i in range(m):
-            M[:, k * m + i] = J_T @ Z[k, i]
-    defect = target.fiber - J_T @ v0.fiber
+    # Column k*m + i is integrals[k, i].  Copied to C order because BLAS
+    # rounds M @ alpha differently on a transposed view.
+    M = np.ascontiguousarray(grid.integrals.reshape(N * sys.control_dim, -1).T)
+    defect = target.fiber - grid.endpoint_jacobian @ v0.fiber
     alpha, *_ = np.linalg.lstsq(M, defect, rcond=None)
     residual = float(np.linalg.norm(M @ alpha - defect))
     if residual > tol * (1.0 + np.linalg.norm(defect)):
@@ -465,4 +459,4 @@ def steer_lifted(
             f"(residual {residual:.3e})",
             residual,
         )
-    return ControlSignal(horizon=T, values=alpha.reshape(N, m))
+    return ControlSignal(horizon=T, values=alpha.reshape(N, sys.control_dim))

@@ -85,8 +85,8 @@ def complete_lift(X: VectorField, h: float = DEFAULT_DERIV_STEP) -> LiftedVector
 
     def func(w):
         n = X.manifold.dim
-        x, y = w[:n], w[n:]
-        return np.concatenate([X.at(x), X.jacobian_at(x, h) @ y])
+        x = BasePoint(X.manifold, w[:n])
+        return np.concatenate([X.at(x), X.jacobian_at(x, h) @ w[n:]])
 
     return LiftedVectorField(
         manifold=X.manifold, func=func, kind=COMPLETE_LIFT, source=X, name=f"{X.name}^c"
@@ -113,6 +113,7 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         return field_from_symbolic(X.manifold, column, args, name)
 
     def func(x):
+        x = BasePoint(X.manifold, x)
         return Y.jacobian_at(x) @ X.at(x) - X.jacobian_at(x) @ Y.at(x)
 
     return VectorField(manifold=X.manifold, func=func, jac=None, name=name)

@@ -56,7 +56,7 @@ class ChartManifold:
         return arr
 
     def point(self, coords) -> "BasePoint":
-        return BasePoint(self, self.check(coords))
+        return BasePoint(self, coords)
 
     def tangent_point(self, coords, fiber) -> "TangentPoint":
         return TangentPoint(self.point(coords), _as_vector(fiber, self.dim, "fiber"))

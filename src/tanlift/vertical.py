@@ -46,6 +46,7 @@ class VerticalAffineSystem:
         return np.column_stack([X.at(x) for X in self.controls])
 
     def fiber_velocity(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
+        x = BasePoint(self.manifold, x)
         vel = self.drift.at(x)
         if u is not None:
             for ui, X in zip(np.asarray(u, dtype=float), self.controls):

@@ -282,6 +282,35 @@ def test_non_finite_state_is_numerical_failure(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "drift, base",
+    [
+        # x1' = x1^2 from x1 = 1 blows up at t = 1.
+        (["x1*x1", "0"], [1.0, 0.0]),
+        # 1/x1 is infinite at the initial point itself.
+        (["1/x1", "0"], [0.0, 0.0]),
+    ],
+)
+def test_blow_up_or_singular_field_is_non_finite_state(capsys, tmp_path, drift, base):
+    doc = {
+        "schema": "tanlift-scenario-v1",
+        "manifold": "R2",
+        "fields": {"Y": drift, "X1": ["0", "1"]},
+        "lifted_system": {
+            "drift": "Y",
+            "controls": ["X1"],
+            "initial": {"base": base, "fiber": [0.1, 0.1]},
+            "horizon": 2.0,
+        },
+    }
+    code = main(["simulate", "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: non-finite state at t = " in captured.err
+    assert "left the chart" not in captured.err
+    assert "RuntimeWarning" not in captured.err
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--step", "0"),

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+import sympy
 
-from tanlift import ExpressionError, field_from_expressions, fiber_dynamics_from_expressions
+from tanlift import (
+    ExpressionError,
+    base_lie_bracket,
+    fiber_dynamics_from_expressions,
+    field_from_expressions,
+)
 from tanlift.expressions import chart_symbols, parse_expression
 
 
@@ -81,3 +87,23 @@ def test_fiber_dynamics_variables(r2):
     assert np.allclose(out, [-3.0 + 0.5, 8.0])
     out0 = dyn(x, y, None)
     assert np.allclose(out0, [-3.0, 8.0])
+
+
+def test_field_compiles_once_and_its_jacobian_on_first_use(monkeypatch, s2):
+    X = field_from_expressions(s2, ["cos(x2)", "sin(x1)"], "X")
+    Y = field_from_expressions(s2, ["x1*x2", "exp(x2)"], "Y")
+    calls = []
+    lambdify = sympy.lambdify
+
+    def counting_lambdify(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counting_lambdify)
+    x = np.array([0.8, 0.3])
+    B = base_lie_bracket(X, Y)
+    B.at(x)
+    assert len(calls) == 1
+    B.jacobian_at(x)
+    B.jacobian_at(x)
+    assert len(calls) == 2
