@@ -38,7 +38,7 @@ def linear_combination(a: float, X: VectorField, b: float, Y: VectorField) -> Ve
         jac = lambda x: a * X.jac(x) + b * Y.jac(x)  # noqa: E731
     return VectorField(
         manifold=X.manifold,
-        func=lambda x: a * X.at(x) + b * Y.at(x),
+        func=lambda x: a * X.value(x) + b * Y.value(x),
         jac=jac,
         name=f"{a}*{X.name}+{b}*{Y.name}",
     )

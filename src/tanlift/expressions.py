@@ -171,20 +171,35 @@ def field_from_expressions(
 def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: str) -> VectorField:
     """Wrap a sympy column matrix as a VectorField.
 
-    The coefficient vector compiles to one function here; the Jacobian
-    is differentiated and compiled on the first ``jacobian_at``.
+    The coefficient vector compiles to one function here.  On the first
+    ``jacobian_at`` the Jacobian is differentiated and compiled together
+    with the coefficients into the field's ``kernel``, one function that
+    returns both.  Only a field without powers is ``vectorized``: numpy
+    rounds ``x**k`` on arrays differently from ``x**k`` on one number.
     """
+    n = manifold.dim
     f_vec = sp.lambdify(args, list(column), modules="numpy")
-    f_jac = functools.cache(lambda: sp.lambdify(args, column.jacobian(args), modules="numpy"))
+    f_kernel = functools.cache(
+        lambda: sp.lambdify(args, list(column) + list(column.jacobian(args)), modules="numpy")
+    )
 
     def func(x):
-        return np.array(f_vec(*x), dtype=float)
+        return f_vec(*x)
+
+    def kernel(x):
+        return f_kernel()(*x)
 
     def jac(x):
-        return np.asarray(f_jac()(*x), dtype=float).reshape(manifold.dim, manifold.dim)
+        return np.array(kernel(x)[n:], dtype=float).reshape(n, n)
 
     return VectorField(
-        manifold=manifold, func=func, jac=jac, name=name, sym=(column, tuple(args))
+        manifold=manifold,
+        func=func,
+        jac=jac,
+        name=name,
+        sym=(column, tuple(args)),
+        kernel=kernel,
+        vectorized=not column.has(sp.Pow),
     )
 
 

@@ -175,8 +175,8 @@ def variational_rhs(Y: VectorField):
     n = Y.manifold.dim
 
     def rhs(t, z):
-        x = BasePoint(Y.manifold, z[:n])
-        return np.concatenate([Y.at(x), (Y.jacobian_at(x) @ z[n:].reshape(n, n)).ravel()])
+        value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
+        return np.concatenate([value, (jac @ z[n:].reshape(n, n)).ravel()])
 
     return rhs
 

@@ -148,8 +148,13 @@ def _transport_segments(
     )
     xs = rows[:, :n]
     Js = rows[:, n:].reshape(-1, n, n)
-    points = map(sys.manifold.point, xs)
-    pulled = np.array([[pullback_vector(J, X.at(p)) for X in sys.controls] for p, J in zip(points, Js)])
+    F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
+    try:
+        pulled = np.linalg.solve(Js[:, None], F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for J, f in zip(Js, F[:, 0]):
+            pullback_vector(J, f)  # raises NumericalError at the first singular J
+        raise
     Z = np.empty((len(boundaries) - 1, sys.control_dim, n))
     for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
         h = (boundaries[k + 1] - boundaries[k]) / (end - start)
@@ -186,12 +191,13 @@ def simulate_lifted_ode(
         u_seg = u.values[k] if u is not None else None
 
         def rhs(t, z):
-            x = BasePoint(sys.manifold, z[:n])
-            ydot = sys.drift.jacobian_at(x) @ z[n:]
+            x = sys.manifold.check(z[:n])
+            value, jac = sys.drift.value_and_jacobian(x)
+            ydot = jac @ z[n:]
             if u_seg is not None:
                 for ui, X in zip(u_seg, sys.controls):
-                    ydot = ydot + ui * X.at(x)
-            return np.concatenate([sys.drift.at(x), ydot])
+                    ydot = ydot + ui * X.value(x)
+            return np.concatenate([value, ydot])
 
         return rhs
 

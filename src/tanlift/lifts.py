@@ -33,9 +33,10 @@ class LiftedVectorField:
     """A vector field on the tangent bundle in induced coordinates.
 
     ``func`` maps the concatenated (x, y) vector (length 2n) to the 2n
-    coefficient vector.  ``kind`` records whether the field arose as a
-    vertical or complete lift of ``source``, which unlocks exact bracket
-    shortcuts; anything else is ``general``.
+    coefficient vector; ``at`` checks the base coordinates before calling
+    it, so ``func`` need not check them again.  ``kind`` records whether
+    the field arose as a vertical or complete lift of ``source``, which
+    unlocks exact bracket shortcuts; anything else is ``general``.
     """
 
     manifold: ChartManifold
@@ -69,7 +70,7 @@ def vertical_lift(X: VectorField) -> LiftedVectorField:
     n = X.manifold.dim
 
     def func(w):
-        return np.concatenate([np.zeros(n), X.at(w[:n])])
+        return np.concatenate([np.zeros(n), X.value(w[:n])])
 
     return LiftedVectorField(
         manifold=X.manifold, func=func, kind=VERTICAL_LIFT, source=X, name=f"{X.name}^v"
@@ -85,8 +86,8 @@ def complete_lift(X: VectorField, h: float = DEFAULT_DERIV_STEP) -> LiftedVector
 
     def func(w):
         n = X.manifold.dim
-        x = BasePoint(X.manifold, w[:n])
-        return np.concatenate([X.at(x), X.jacobian_at(x, h) @ w[n:]])
+        value, jac = X.value_and_jacobian(w[:n], h)
+        return np.concatenate([value, jac @ w[n:]])
 
     return LiftedVectorField(
         manifold=X.manifold, func=func, kind=COMPLETE_LIFT, source=X, name=f"{X.name}^c"
@@ -113,8 +114,9 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         return field_from_symbolic(X.manifold, column, args, name)
 
     def func(x):
-        x = BasePoint(X.manifold, x)
-        return Y.jacobian_at(x) @ X.at(x) - X.jacobian_at(x) @ Y.at(x)
+        x_value, x_jac = X.value_and_jacobian(x)
+        y_value, y_jac = Y.value_and_jacobian(x)
+        return y_jac @ x_value - x_jac @ y_value
 
     return VectorField(manifold=X.manifold, func=func, jac=None, name=name)
 

@@ -118,6 +118,13 @@ class VectorField:
     symbolic payload in ``sym`` (a sympy column matrix over x1..xn), which
     makes Lie-bracket recursion exact; hand-built fields fall back to
     central finite differences.
+
+    A compiled field also carries ``kernel``, one function that maps a
+    coordinate vector to the coefficients followed by the row-major
+    Jacobian entries.  ``vectorized`` says that ``func`` also takes an
+    (n, B) array of coordinate columns and returns one entry per
+    coefficient, an array of B values or a constant, each equal to what
+    the B single-point calls give.
     """
 
     manifold: ChartManifold
@@ -125,21 +132,56 @@ class VectorField:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "X"
     sym: Optional[object] = field(default=None, repr=False)
+    kernel: Optional[Callable[[np.ndarray], Sequence]] = field(default=None, repr=False)
+    vectorized: bool = False
+
+    def _coords(self, point) -> np.ndarray:
+        return point.coords if isinstance(point, BasePoint) else self.manifold.check(point)
 
     def at(self, point) -> np.ndarray:
         """Evaluate the coefficient vector; the point is domain-checked."""
-        coords = point.coords if isinstance(point, BasePoint) else self.manifold.check(point)
+        return self.value(self._coords(point))
+
+    def value(self, coords: np.ndarray) -> np.ndarray:
+        """Coefficient vector at coordinates the caller has already checked."""
         return _as_vector(self.func(coords), self.manifold.dim, f"{self.name} coefficients")
 
     def jacobian_at(self, point, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
         """Coefficient Jacobian, analytic when available, else central differences."""
-        coords = point.coords if isinstance(point, BasePoint) else self.manifold.check(point)
-        if self.jac is not None:
-            mat = np.asarray(self.jac(coords), dtype=float)
-            if mat.shape != (self.manifold.dim, self.manifold.dim):
-                raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
-            return mat
-        return numeric_jacobian(self, coords, h)
+        return self._jacobian(self._coords(point), h)
+
+    def _jacobian(self, coords: np.ndarray, h: float) -> np.ndarray:
+        if self.jac is None:
+            return numeric_jacobian(self, coords, h)
+        mat = np.asarray(self.jac(coords), dtype=float)
+        if mat.shape != (self.manifold.dim, self.manifold.dim):
+            raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
+        return mat
+
+    def value_and_jacobian(self, coords: np.ndarray, h: float = DEFAULT_DERIV_STEP) -> tuple:
+        """Coefficients and Jacobian at coordinates the caller has already checked.
+
+        A compiled field makes one ``kernel`` call; any other field goes
+        through ``func`` and ``jac`` (or central differences with step h).
+        """
+        if self.kernel is None:
+            return self.value(coords), self._jacobian(coords, h)
+        n = self.manifold.dim
+        flat = np.array(self.kernel(coords), dtype=float)
+        return flat[:n], flat[n:].reshape(n, n)
+
+    def at_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients at each row of a (B, n) array of already-checked coordinates.
+
+        A vectorized field evaluates all rows in one ``func`` call and
+        broadcasts its constant components; any other field goes row by row.
+        """
+        if not self.vectorized:
+            return np.array([self.value(x) for x in rows]).reshape(rows.shape)
+        out = np.empty(rows.shape)
+        for i, column in enumerate(self.func(rows.T)):
+            out[:, i] = column
+        return out
 
     @property
     def has_analytic_jacobian(self) -> bool:

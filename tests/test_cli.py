@@ -310,6 +310,31 @@ def test_blow_up_or_singular_field_is_non_finite_state(capsys, tmp_path, drift, 
     assert "RuntimeWarning" not in captured.err
 
 
+def test_singular_flow_differential_is_numerical_failure(capsys, tmp_path):
+    doc = {
+        "schema": "tanlift-scenario-v1",
+        "manifold": "R2",
+        "fields": {"Y": ["-1000*x1", "0"], "X1": ["1", "0"]},
+        "lifted_system": {
+            "drift": "Y",
+            "controls": ["X1"],
+            "initial": {"base": [1.0, 0.0], "fiber": [0.0, 1.0]},
+            "horizon": 1.0,
+            "grid": 8,
+        },
+    }
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["reachable", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "flow differential is numerically singular (cond = inf)" in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

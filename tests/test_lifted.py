@@ -7,6 +7,7 @@ from tanlift import (
     AlignmentError,
     ControlSignal,
     LiftedSystem,
+    NumericalError,
     S_T_span,
     TargetBaseError,
     UnreachableTargetError,
@@ -17,6 +18,7 @@ from tanlift import (
     constant_field,
     endpoint_closed_form,
     fiber_controllability_report,
+    field_from_expressions,
     flow_differential,
     flow_with_jacobians,
     simulate_lifted_ode,
@@ -196,6 +198,16 @@ def test_transport_chain_rule_identity_on_both_examples(r2, s2, shear_system, co
                 rhs = remaining @ X.at(mid)
                 worst = max(worst, np.max(np.abs(grid.columns[k, i] - rhs)))
         assert worst <= 1e-7
+
+
+def test_singular_flow_differential_is_numerical_error(r2):
+    # x1' = -1000 x1 contracts by about 0.375 per RK4 step of about 1e-3, so J_t
+    # underflows to diag(0, 1) well before T = 1.
+    Y = field_from_expressions(r2, ["-1000*x1", "0"], "Y")
+    X1 = field_from_expressions(r2, ["1", "0"], "X1")
+    sys = LiftedSystem(r2, Y, (X1,))
+    with pytest.raises(NumericalError, match=r"^flow differential is numerically singular \(cond = inf\)$"):
+        build_transport_grid(sys, r2.point([1.0, 0.0]), 1.0, 8)
 
 
 def test_apply_LT_zero_control(r2, shear_system):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tanlift import (
+    ChartDomainError,
     FunctionLift,
     base_lie_bracket,
     complete_lift,
@@ -15,7 +16,7 @@ from tanlift import (
 )
 from tanlift.battery import run_identity_battery
 from tanlift.lifts import LiftedVectorField, directional_derivative
-from tanlift.manifold import sample_tangent_points
+from tanlift.manifold import ChartManifold, sample_tangent_points
 
 
 def test_vertical_lift_of_rotation_generator(s2):
@@ -59,6 +60,28 @@ def test_complete_lift_of_zero_field(r2):
     Zc = complete_lift(constant_field(r2, [0.0, 0.0]))
     v = r2.tangent_point([1.0, 1.0], [2.0, 3.0])
     assert np.allclose(Zc.at(v), np.zeros(4), atol=1e-15)
+
+
+@pytest.mark.parametrize("lift", [vertical_lift, complete_lift])
+def test_lift_checks_its_base_point_once(monkeypatch, s2, s2_fields, lift):
+    X0, _, _ = s2_fields
+    hand_built = field_from_callable(s2, X0.func, X0.jac, "H")
+    calls = []
+    check = ChartManifold.check
+
+    def counting_check(self, coords):
+        calls.append(np.array(coords, dtype=float))
+        return check(self, coords)
+
+    monkeypatch.setattr(ChartManifold, "check", counting_check)
+    w = np.array([0.8, 0.3, 0.5, -0.2])
+    for X in (X0, hand_built):
+        calls.clear()
+        lift(X).at(w)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], w[:2])
+    with pytest.raises(ChartDomainError):
+        lift(X0).at(np.array([0.0, 0.3, 0.5, -0.2]))
 
 
 def test_base_bracket_shear(r2, shear_fields):
