@@ -22,7 +22,7 @@ from .lifts import (
     lie_bracket,
     vertical_lift,
 )
-from .manifold import ChartManifold, TangentPoint, VectorField, dprojection, sample_tangent_points
+from .manifold import ChartManifold, VectorField, dprojection, sample_tangent_points
 
 BRACKET_TOL_FIRST = 1e-6
 BRACKET_TOL_SECOND = 1e-5

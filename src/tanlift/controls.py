@@ -46,15 +46,6 @@ class ControlSignal:
     def boundaries(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.segments + 1)
 
-    def segment_index(self, t: float) -> int:
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return min(int(t / self.segment_length), self.segments - 1)
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Right-continuous value at time t (left limit at the horizon)."""
-        return self.values[self.segment_index(t)].copy()
-
     def integral(self, t: float) -> np.ndarray:
         """Exact running integral of every channel over [0, t]."""
         if not 0.0 <= t <= self.horizon:

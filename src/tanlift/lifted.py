@@ -10,7 +10,6 @@ with an iterated-bracket sufficient criterion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,31 +28,14 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
     variational_rhs,
 )
 from .lifts import base_lie_bracket
-from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
+from .manifold import BasePoint, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
 
 _BOUNDARY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LiftedSystem:
+class LiftedSystem(DriftControlSystem):
     """dv/dt = Y^c(v) + sum_i u_i Xi^v(v) on the tangent bundle."""
-
-    manifold: ChartManifold
-    drift: VectorField
-    controls: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(self.controls))
-        if len(self.controls) < 1:
-            raise ValueError("need at least one control field")
-        for f in (self.drift, *self.controls):
-            if f.manifold.dim != self.manifold.dim:
-                raise ValueError(f"field {f.name} has wrong dimension")
-
-    @property
-    def control_dim(self) -> int:
-        return len(self.controls)
 
 
 @dataclass(frozen=True)
@@ -165,8 +147,8 @@ def _transport_segments(
         x0=x0,
         times=times[offsets],
         transported=pulled[offsets],
-        columns=np.array([[J_T @ w for w in row] for row in pulled[offsets]]),
-        integrals=np.array([[J_T @ w for w in row] for row in Z]),
+        columns=np.matmul(J_T, pulled[offsets][..., None])[..., 0],
+        integrals=np.matmul(J_T, Z[..., None])[..., 0],
         flow=FlowResult(sys.manifold, times[offsets], xs[offsets], Js[offsets]),
     )
 

@@ -20,7 +20,7 @@ from .manifold import (
     ChartManifold,
     TangentPoint,
     VectorField,
-    numeric_gradient,
+    central_differences,
 )
 
 VERTICAL_LIFT = "vertical-lift"
@@ -56,9 +56,6 @@ class LiftedVectorField:
         if out.shape != (2 * n,):
             raise ValueError(f"{self.name} coefficients have length {out.size}, expected {2 * n}")
         return out
-
-    def __call__(self, v) -> np.ndarray:
-        return self.at(v)
 
 
 def vertical_lift(X: VectorField) -> LiftedVectorField:
@@ -131,16 +128,6 @@ def ad_iterate(Y: VectorField, X: VectorField, k: int) -> VectorField:
     return B
 
 
-def _numeric_jacobian_2n(F: LiftedVectorField, w: np.ndarray, h: float) -> np.ndarray:
-    n2 = w.size
-    J = np.empty((n2, n2))
-    for j in range(n2):
-        e = np.zeros(n2)
-        e[j] = h
-        J[:, j] = (F.at(w + e) - F.at(w - e)) / (2.0 * h)
-    return J
-
-
 def lie_bracket(
     A: LiftedVectorField,
     B: LiftedVectorField,
@@ -171,7 +158,7 @@ def lie_bracket(
         if pair == (COMPLETE_LIFT, COMPLETE_LIFT):
             return complete_lift(base_lie_bracket(A.source, B.source)).at(v)
     w = v.as_vector()
-    return _numeric_jacobian_2n(B, w, h) @ A.at(v) - _numeric_jacobian_2n(A, w, h) @ B.at(v)
+    return central_differences(B.at, w, h) @ A.at(v) - central_differences(A.at, w, h) @ B.at(v)
 
 
 def is_vertical(F: LiftedVectorField, samples: Iterable[TangentPoint], tol: float = 1e-12) -> bool:
@@ -205,7 +192,7 @@ class FunctionLift:
     def gradient_at(self, coords) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(coords), dtype=float)
-        return numeric_gradient(self.base_fn, coords)
+        return central_differences(self.base_fn, coords)
 
 
 def function_lift_eval(F: FunctionLift, v: TangentPoint) -> float:

@@ -148,15 +148,7 @@ class VectorField:
 
     def jacobian_at(self, point, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
         """Coefficient Jacobian, analytic when available, else central differences."""
-        return self._jacobian(self._coords(point), h)
-
-    def _jacobian(self, coords: np.ndarray, h: float) -> np.ndarray:
-        if self.jac is None:
-            return numeric_jacobian(self, coords, h)
-        mat = np.asarray(self.jac(coords), dtype=float)
-        if mat.shape != (self.manifold.dim, self.manifold.dim):
-            raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
-        return mat
+        return self.value_and_jacobian(self._coords(point), h)[1]
 
     def value_and_jacobian(self, coords: np.ndarray, h: float = DEFAULT_DERIV_STEP) -> tuple:
         """Coefficients and Jacobian at coordinates the caller has already checked.
@@ -164,11 +156,17 @@ class VectorField:
         A compiled field makes one ``kernel`` call; any other field goes
         through ``func`` and ``jac`` (or central differences with step h).
         """
-        if self.kernel is None:
-            return self.value(coords), self._jacobian(coords, h)
         n = self.manifold.dim
-        flat = np.array(self.kernel(coords), dtype=float)
-        return flat[:n], flat[n:].reshape(n, n)
+        if self.kernel is not None:
+            flat = np.array(self.kernel(coords), dtype=float)
+            return flat[:n], flat[n:].reshape(n, n)
+        value = self.value(coords)
+        if self.jac is None:
+            return value, numeric_jacobian(self, coords, h)
+        mat = np.asarray(self.jac(coords), dtype=float)
+        if mat.shape != (n, n):
+            raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
+        return value, mat
 
     def at_rows(self, rows: np.ndarray) -> np.ndarray:
         """Coefficients at each row of a (B, n) array of already-checked coordinates.
@@ -183,12 +181,26 @@ class VectorField:
             out[:, i] = column
         return out
 
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return self.jac is not None
 
-    def __call__(self, point) -> np.ndarray:
-        return self.at(point)
+@dataclass(frozen=True)
+class DriftControlSystem:
+    """A drift field plus at least one control field, all on one chart."""
+
+    manifold: ChartManifold
+    drift: VectorField
+    controls: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "controls", tuple(self.controls))
+        if len(self.controls) < 1:
+            raise ValueError("need at least one control field")
+        for f in (self.drift, *self.controls):
+            if f.manifold.dim != self.manifold.dim:
+                raise ValueError(f"field {f.name} has wrong dimension")
+
+    @property
+    def control_dim(self) -> int:
+        return len(self.controls)
 
 
 def project(v: TangentPoint) -> BasePoint:
@@ -209,46 +221,31 @@ def dprojection(v: TangentPoint, W) -> np.ndarray:
     return arr[:n].copy()
 
 
-def numeric_jacobian(
-    X: VectorField,
-    x,
-    h: float = DEFAULT_DERIV_STEP,
-    richardson: bool = False,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector field's coefficients.
+def central_differences(f: Callable[[np.ndarray], object], x, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
+    """Central differences of f at x, one column per coordinate.
 
-    Column j is (X(x + h e_j) - X(x - h e_j)) / (2 h).  With
-    ``richardson`` a single extrapolation level is applied,
-    (4 D(h/2) - D(h)) / 3, trading two extra evaluations per column for
-    one higher error order.  Every stencil point is domain-checked.
+    Column j is (f(x + h e_j) - f(x - h e_j)) / (2 h): a scalar f gives
+    its gradient, a vector-valued f its Jacobian.  The columns are
+    stacked into a C-contiguous array, not a transposed view, because
+    BLAS rounds ``@`` differently on one.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    coords = x.coords if isinstance(x, BasePoint) else np.asarray(x, dtype=float)
-    n = X.manifold.dim
-
-    def central(step):
-        cols = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = step
-            cols[:, j] = (X.at(coords + e) - X.at(coords - e)) / (2.0 * step)
-        return cols
-
-    if not richardson:
-        return central(h)
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-def numeric_gradient(f: Callable[[np.ndarray], float], coords, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar chart function."""
-    x = np.asarray(coords, dtype=float)
-    g = np.empty_like(x)
+    x = np.asarray(x, dtype=float)
+    columns = []
     for j in range(x.size):
-        e = np.zeros_like(x)
+        e = np.zeros(x.size)
         e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+        columns.append((f(x + e) - f(x - e)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+def numeric_jacobian(X: VectorField, x, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
+    """Central-difference Jacobian of a vector field; every stencil point is domain-checked."""
+    return central_differences(X.at, x.coords if isinstance(x, BasePoint) else x, h)
+
+
+numeric_gradient = central_differences
 
 
 def sample_tangent_points(

@@ -113,13 +113,25 @@ def _control(block: dict, horizon: float, channels: int, context: str) -> Option
     return ControlSignal(horizon=horizon, values=arr)
 
 
-def _named_fields(fields: dict, names, context: str):
-    out = []
+def _number(raw, key: str, requirement: str, accept, integer: bool = False):
+    """A JSON number (an integer if ``integer``) that ``accept`` passes.
+
+    ``key`` names the scenario key in the ScenarioError raised otherwise.
+    """
+    kinds = int if integer else (int, float)
+    if isinstance(raw, bool) or not isinstance(raw, kinds) or not accept(raw):
+        raise ScenarioError(f"{key} must be {requirement}, got {raw!r}")
+    return raw if integer else float(raw)
+
+
+def _named_fields(fields: dict, names, context: str, key: str) -> list:
+    """The fields named by the list ``names``, read from the scenario key ``key``."""
+    if not isinstance(names, (list, tuple)):
+        raise ScenarioError(f"{context}.{key} must be a list of field names, got {names!r}")
     for name in names:
-        if name not in fields:
+        if not isinstance(name, str) or name not in fields:
             raise ScenarioError(f"{context}: field {name!r} is not defined")
-        out.append(fields[name])
-    return out
+    return [fields[name] for name in names]
 
 
 def load_scenario(source) -> Scenario:
@@ -146,8 +158,13 @@ def load_scenario(source) -> Scenario:
     except ValueError as err:
         raise ScenarioError(str(err)) from err
 
+    specs = doc.get("fields", {})
+    if not isinstance(specs, dict):
+        raise ScenarioError(f"fields must map names to lists of expressions, got {specs!r}")
     fields = {}
-    for fname, exprs in doc.get("fields", {}).items():
+    for fname, exprs in specs.items():
+        if not isinstance(exprs, (list, tuple)) or not all(isinstance(e, str) for e in exprs):
+            raise ScenarioError(f"field {fname!r}: coefficients must be a list of strings, got {exprs!r}")
         try:
             fields[fname] = field_from_expressions(manifold, exprs, name=fname)
         except ExpressionError as err:
@@ -162,7 +179,8 @@ def load_scenario(source) -> Scenario:
         horizon = _horizon(block, context)
         initial = _initial_point(manifold, block, context)
         if "fiber_dynamics" in block:
-            control_dim = int(block.get("control_dim", 0))
+            control_dim = block.get("control_dim", 0)
+            _number(control_dim, f"{context}.control_dim", "an integer >= 0", lambda v: v >= 0, True)
             try:
                 dynamics = fiber_dynamics_from_expressions(
                     manifold, block["fiber_dynamics"], control_dim
@@ -174,8 +192,9 @@ def load_scenario(source) -> Scenario:
             )
             control = _control(block, horizon, control_dim, context) if control_dim else None
         else:
-            drift = _named_fields(fields, [_require(block, "drift", context)], context)[0]
-            controls = _named_fields(fields, _require(block, "controls", context), context)
+            drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
+            names = _require(block, "controls", context)
+            controls = _named_fields(fields, names, context, "controls")
             system = VerticalAffineSystem(manifold=manifold, drift=drift, controls=tuple(controls))
             control = _control(block, horizon, len(controls), context)
         vertical = VerticalBlock(system=system, initial=initial, horizon=horizon, control=control)
@@ -186,36 +205,46 @@ def load_scenario(source) -> Scenario:
         context = "lifted_system"
         horizon = _horizon(block, context)
         initial = _initial_point(manifold, block, context)
-        drift = _named_fields(fields, [_require(block, "drift", context)], context)[0]
-        controls = _named_fields(fields, _require(block, "controls", context), context)
+        drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
+        names = _require(block, "controls", context)
+        controls = _named_fields(fields, names, context, "controls")
         system = LiftedSystem(manifold=manifold, drift=drift, controls=tuple(controls))
         control = _control(block, horizon, len(controls), context)
-        bump_spec = block.get("bump", {})
+        spec = block.get("bump", {})
+        where = f"{context}.bump"
+        t0 = spec.get("t0_fraction", 0.5)
+        fractions = spec.get("epsilon_fractions", [0.125, 0.0625, 0.03125])
+        channel = spec.get("channel", 0)
+        if not isinstance(fractions, (list, tuple)) or not fractions:
+            raise ScenarioError(f"{where}.epsilon_fractions must be a non-empty list, got {fractions!r}")
         bump = BumpStudy(
-            t0_fraction=float(bump_spec.get("t0_fraction", 0.5)),
+            t0_fraction=_number(t0, f"{where}.t0_fraction", "a number in [0, 1)", lambda v: 0 <= v < 1),
             epsilon_fractions=tuple(
-                float(e) for e in bump_spec.get("epsilon_fractions", (0.125, 0.0625, 0.03125))
+                _number(e, f"{where}.epsilon_fractions[{i}]", "a number in (0, 1]", lambda v: 0 < v <= 1)
+                for i, e in enumerate(fractions)
             ),
-            channel=int(bump_spec.get("channel", 0)),
+            channel=_number(channel, f"{where}.channel", "an integer >= 0", lambda v: v >= 0, True),
         )
-        if not 0.0 <= bump.t0_fraction < 1.0:
-            raise ScenarioError(f"{context}.bump: t0_fraction must lie in [0, 1)")
+        grid, k_max = block.get("grid"), block.get("k_max")
+        if grid is not None:
+            _number(grid, f"{context}.grid", "an integer >= 2", lambda v: v >= 2, True)
+        if k_max is not None:
+            _number(k_max, f"{context}.k_max", "an integer >= 0", lambda v: v >= 0, True)
         lifted = LiftedBlock(
             system=system,
             initial=initial,
             horizon=horizon,
             control=control,
-            grid=int(block["grid"]) if "grid" in block else None,
-            k_max=int(block["k_max"]) if "k_max" in block else None,
+            grid=grid,
+            k_max=k_max,
             bump=bump,
         )
 
     check_spec = doc.get("lift_check", {})
-    check_fields = tuple(check_spec.get("fields", sorted(fields)))
-    _named_fields(fields, check_fields, "lift_check")
-    samples = int(check_spec.get("samples", 50))
-    if samples < 1:
-        raise ScenarioError("lift_check: samples must be >= 1")
+    check_fields = check_spec.get("fields", sorted(fields))
+    _named_fields(fields, check_fields, "lift_check", "fields")
+    samples = check_spec.get("samples", 50)
+    _number(samples, "lift_check.samples", "an integer >= 1", lambda v: v >= 1, True)
 
     return Scenario(
         name=name,
@@ -223,6 +252,6 @@ def load_scenario(source) -> Scenario:
         fields=fields,
         vertical=vertical,
         lifted=lifted,
-        lift_check_fields=check_fields,
+        lift_check_fields=tuple(check_fields),
         lift_check_samples=samples,
     )

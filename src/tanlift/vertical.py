@@ -17,40 +17,23 @@ import numpy as np
 from .controls import ControlSignal, segment_boundaries
 from .errors import UnreachableTargetError
 from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, integrate_segments
-from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
+from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
 
 
-@dataclass(frozen=True)
-class VerticalAffineSystem:
+class VerticalAffineSystem(DriftControlSystem):
     """dv/dt = X0^v(v) + sum_i u_i Xi^v(v): drift and controls act on fibers only."""
-
-    manifold: ChartManifold
-    drift: VectorField
-    controls: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(self.controls))
-        if len(self.controls) < 1:
-            raise ValueError("need at least one control field")
-        for f in (self.drift, *self.controls):
-            if f.manifold.dim != self.manifold.dim:
-                raise ValueError(f"field {f.name} has wrong dimension")
-
-    @property
-    def control_dim(self) -> int:
-        return len(self.controls)
 
     def control_matrix(self, x: BasePoint) -> np.ndarray:
         """Columns Xi(x), the directions reachable in the fiber."""
         return np.column_stack([X.at(x) for X in self.controls])
 
     def fiber_velocity(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
-        x = BasePoint(self.manifold, x)
-        vel = self.drift.at(x)
+        x = self.manifold.check(x)
+        vel = self.drift.value(x)
         if u is not None:
             for ui, X in zip(np.asarray(u, dtype=float), self.controls):
-                vel = vel + ui * X.at(x)
+                vel = vel + ui * X.value(x)
         return vel
 
 

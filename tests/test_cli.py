@@ -57,6 +57,59 @@ def test_scenario_rejects_undefined_field(tmp_path):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+def _run_shear_variant(capsys, tmp_path, path, value, command="controllability"):
+    """Run the shear scenario with the key at ``path`` set to ``value``."""
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    spec = doc
+    for key in path[:-1]:
+        spec = spec.setdefault(key, {})
+    spec[path[-1]] = value
+    code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_scenario_rejects_fields_that_are_not_an_object(capsys, tmp_path):
+    code, out, err = _run_shear_variant(capsys, tmp_path, ("fields",), [])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fields must map names")
+
+
+def test_scenario_rejects_a_field_given_as_one_string(capsys, tmp_path):
+    code, out, err = _run_shear_variant(capsys, tmp_path, ("fields", "Y"), "12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: field 'Y': coefficients must be a list of strings")
+
+
+def test_scenario_rejects_controls_given_as_one_string(capsys, tmp_path):
+    code, out, err = _run_shear_variant(capsys, tmp_path, ("lifted_system", "controls"), "X1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lifted_system.controls must be a list of field names")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("lifted_system", "grid"), -3),
+        (("lifted_system", "grid"), "abc"),
+        (("lifted_system", "grid"), 2.5),
+        (("lifted_system", "k_max"), -1),
+        (("lift_check", "samples"), "x"),
+        (("lift_check", "samples"), 0),
+        (("lifted_system", "bump", "channel"), "a"),
+        (("lifted_system", "bump", "channel"), -1),
+        (("lifted_system", "bump", "t0_fraction"), 1.0),
+        (("lifted_system", "bump", "t0_fraction"), "x"),
+        (("lifted_system", "bump", "epsilon_fractions"), [0.0]),
+        (("lifted_system", "bump", "epsilon_fractions"), [0.5, 1.5]),
+    ],
+)
+def test_scenario_numbers_out_of_range_are_input_errors(capsys, tmp_path, path, value):
+    code, out, err = _run_shear_variant(capsys, tmp_path, path, value, "bump-convergence")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {'.'.join(path)}")
+
+
 def test_scenario_rejects_bad_horizon(tmp_path):
     doc = {
         "schema": "tanlift-scenario-v1",

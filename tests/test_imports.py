@@ -1,0 +1,70 @@
+"""Every import in a package module is used.
+
+No linter is installed, so this walks each module's syntax tree.  A name
+counts as used when it is loaded anywhere in the module, including inside
+a string annotation.  An import statement whose first line carries
+``# noqa: F401`` is exempt: ``lifted`` keeps ``integrate_fixed`` bound so
+that a tracer can wrap it there.  ``__init__.py`` re-exports by design.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tanlift"
+
+
+def _annotation_names(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= _annotation_names(node.returns)
+    return sorted(name for name in imported if name not in used)
+
+
+def test_checker_sees_string_annotations_and_noqa():
+    source = (
+        "import os\n"
+        "from typing import List  # noqa: F401\n"
+        "from pathlib import Path, PurePath\n"
+        "def f(x: 'Path') -> None:\n"
+        "    return None\n"
+    )
+    assert unused_imports(source) == ["PurePath", "os"]
+
+
+def test_package_modules_have_no_unused_imports():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        unused = unused_imports(path.read_text())
+        if unused:
+            found[path.name] = unused
+    assert found == {}

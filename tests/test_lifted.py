@@ -159,6 +159,21 @@ def test_transport_grid_commuting_columns(s2, commuting_system):
             assert np.max(np.abs(grid.columns[k, i] - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("chart", ["r2", "s2"])
+def test_transport_columns_are_the_per_vector_push_forward(request, rng, chart):
+    manifold = request.getfixturevalue(chart)
+    Y, X1, X2 = (random_smooth_field(manifold, rng, name) for name in ("Y", "X1", "X2"))
+    sys = LiftedSystem(manifold, Y, (X1, X2))
+    low, high = manifold.sample_box()
+    for _ in range(5):
+        # The middle half of the sampling box keeps a T = 0.2 flow inside the chart.
+        x0 = manifold.point(low + (high - low) * rng.uniform(0.25, 0.75, 2))
+        grid = build_transport_grid(sys, x0, 0.2, 6)
+        J_T = grid.endpoint_jacobian
+        expected = np.array([[J_T @ w for w in row] for row in grid.transported])
+        assert np.array_equal(grid.columns, expected)
+
+
 def test_transport_grid_start_node_is_field_value(r2, shear_system):
     grid = build_transport_grid(shear_system, r2.point([1.0, 0.0]), 1.0, 2)
     assert np.max(np.abs(grid.transported[0, 0] - [1.0, 0.0])) < 1e-12

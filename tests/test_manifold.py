@@ -3,12 +3,19 @@ import pytest
 
 from tanlift import (
     ChartDomainError,
+    ChartManifold,
+    LiftedSystem,
     VectorField,
+    VerticalAffineSystem,
     builtin_manifold,
+    complete_lift,
     dprojection,
     field_from_callable,
+    lie_bracket,
+    numeric_gradient,
     numeric_jacobian,
     project,
+    vertical_lift,
 )
 from tanlift.manifold import sample_tangent_points
 
@@ -81,24 +88,64 @@ def test_numeric_jacobian_quadratic_field(r2):
     assert np.max(np.abs(J - np.array([[2.0, 0.0], [0.0, 0.0]]))) < 1e-8
 
 
-def test_numeric_jacobian_richardson_improves_cubic(r2):
-    X = field_from_callable(r2, lambda x: np.array([x[0] ** 4, 0.0]))
-    x = r2.point([1.0, 0.0])
-    plain = numeric_jacobian(X, x, h=1e-2)
-    extrapolated = numeric_jacobian(X, x, h=1e-2, richardson=True)
-    exact = np.array([[4.0, 0.0], [0.0, 0.0]])
-    assert np.max(np.abs(extrapolated - exact)) < np.max(np.abs(plain - exact))
-
-
 def test_analytic_jacobian_matches_numeric_at_random_points(r2, rng):
     X = random_smooth_field(r2, rng)
-    assert X.has_analytic_jacobian
+    assert X.jac is not None
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
         diff = X.jacobian_at(x) - numeric_jacobian(X, x, h=1e-5)
         worst = max(worst, np.max(np.abs(diff)))
     assert worst <= 1e-6
+
+
+def _columns(f, x, h):
+    """The central-difference stencil written out column by column."""
+    out = np.empty(np.shape(f(x)) + (x.size,))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        out[..., j] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("chart", ["R2", "S2-spherical"])
+def test_stencils_are_the_written_out_central_differences(chart):
+    manifold = builtin_manifold(chart)
+    rng = np.random.default_rng(3)
+    X = random_smooth_field(manifold, rng, "X")
+    Y = random_smooth_field(manifold, rng, "Y")
+    hand_built = field_from_callable(manifold, X.func, name="H")
+
+    def f(x):
+        return np.sin(x[0]) * x[1] + x[0] ** 3
+
+    for v in sample_tangent_points(manifold, 5, rng):
+        x = v.base.coords
+        for F in (X, hand_built):
+            assert np.array_equal(numeric_jacobian(F, v.base), _columns(F.at, x, 1e-5))
+            assert np.array_equal(numeric_jacobian(F, x, h=1e-3), _columns(F.at, x, 1e-3))
+        assert np.array_equal(hand_built.jacobian_at(x), _columns(X.at, x, 1e-5))
+        assert np.array_equal(numeric_gradient(f, x), _columns(f, x, 1e-5))
+        A, B = complete_lift(Y), vertical_lift(X)
+        w = v.as_vector()
+        expected = _columns(B.at, w, 1e-5) @ A.at(v) - _columns(A.at, w, 1e-5) @ B.at(v)
+        assert np.array_equal(lie_bracket(A, B, v, method="numeric"), expected)
+
+
+@pytest.mark.parametrize("system", [LiftedSystem, VerticalAffineSystem])
+def test_systems_need_a_control_and_fields_of_the_chart_dimension(r2, system):
+    Y = field_from_callable(r2, lambda x: x, name="Y")
+    with pytest.raises(ValueError, match="need at least one control field"):
+        system(r2, Y, ())
+    r3 = ChartManifold(dim=3, name="R3")
+    Z = field_from_callable(r3, lambda x: x, name="Z")
+    with pytest.raises(ValueError, match="field Z has wrong dimension"):
+        system(r2, Y, (Z,))
+    with pytest.raises(ValueError, match="field Z has wrong dimension"):
+        system(r2, Z, (Y,))
+    built = system(r2, Y, [Y, Y])
+    assert built.controls == (Y, Y) and built.control_dim == 2
 
 
 def test_domain_enforced_on_points(s2):
