@@ -88,7 +88,6 @@ def run_identity_battery(
     fields: Sequence[VectorField],
     samples: int = 50,
     seed: int = 42,
-    rng=None,
 ) -> list:
     """Check the lift identities over all ordered field pairs.
 
@@ -97,8 +96,7 @@ def run_identity_battery(
     """
     if len(fields) < 2:
         raise ValueError("identity battery needs at least 2 fields")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     points = sample_tangent_points(manifold, samples, rng)
     n = manifold.dim
     pairs = [(X, Y) for X in fields for Y in fields]

@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from .controls import segment_boundaries
 from .errors import ChartDomainError, DomainExitError, NumericalError, StepBudgetError
-from .lifts import ad_iterate
+from .lifts import base_lie_bracket
 from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
 
 
@@ -170,15 +171,37 @@ def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: Cha
     return times, rows, offsets
 
 
-def variational_rhs(Y: VectorField):
-    """Right-hand side of the base flow of Y joined with dJ/dt = J_Y(x) J."""
-    n = Y.manifold.dim
+def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
+    """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
+
+    Returns (times, states, jacobians, offsets) as ``integrate_segments`` does.
+    """
+    n = x0.manifold.dim
 
     def rhs(t, z):
         value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
         return np.concatenate([value, (jac @ z[n:].reshape(n, n)).ravel()])
 
-    return rhs
+    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
+    times, rows, offsets = integrate_segments(lambda k: rhs, z0, boundaries, steps, x0.manifold)
+    return times, rows[:, :n], rows[:, n:].reshape(-1, n, n), offsets
+
+
+def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
+    """RK4 of dv/dt = ``sys.velocity(v, u)`` on TM, one constant input per step."""
+    boundaries = segment_boundaries(u, horizon, sys.control_dim)
+    n = sys.manifold.dim
+
+    def rhs_for(k):
+        u_seg = u.values[k] if u is not None else None
+        return lambda t, z: sys.velocity(z, u_seg)
+
+    times, rows, _ = integrate_segments(
+        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
+    )
+    return TangentTrajectory(
+        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
+    )
 
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
@@ -193,16 +216,8 @@ def flow_with_jacobians(
     Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> FlowResult:
     """Flow plus the variational equation; Jacobians stored at every node."""
-    n = x0.manifold.dim
-    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    rhs = variational_rhs(Y)
-    times, rows, _ = integrate_segments(lambda k: rhs, z0, [0.0, T], cfg.steps_for, x0.manifold)
-    return FlowResult(
-        manifold=x0.manifold,
-        times=times,
-        states=rows[:, :n],
-        jacobians=rows[:, n:].reshape(-1, n, n),
-    )
+    times, states, jacobians, _ = joint_flow(Y, x0, [0.0, T], cfg.steps_for)
+    return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
 
 
 def flow_differential(
@@ -213,11 +228,11 @@ def flow_differential(
 
 
 def pullback_vector(J: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Solve J w = vec, reporting the condition number if J is singular."""
+    """Solve J w = vec for one J or a stack; a singular J names the largest cond."""
     try:
         return np.linalg.solve(J, vec)
     except np.linalg.LinAlgError as err:
-        cond = np.linalg.cond(J)
+        cond = np.max(np.linalg.cond(J))
         raise NumericalError(
             f"flow differential is numerically singular (cond = {cond:.3e})"
         ) from err
@@ -246,9 +261,9 @@ def transported_derivatives(
     """Iterated-bracket directions ad_Y^k X(x0), k = 0..k_max.
 
     The bracket here is [A, B] = J_A B - J_B A, the opposite sign of
-    ``base_lie_bracket``, so entry k is (-1)^k ``ad_iterate(Y, X, k)(x0)``.
-    The k-th t-derivative of ``transported_field`` at t = 0 is
-    ``ad_iterate(Y, X, k)(x0)``, that is (-1)^k times entry k.
+    ``base_lie_bracket``, so entry k is (-1)^k B_k(x0), where B_0 = X and
+    B_k = ``base_lie_bracket(Y, B_{k-1})``.  The k-th t-derivative of
+    ``transported_field`` at t = 0 is B_k(x0), that is (-1)^k times entry k.
 
     Entry 0 is X(x0).  Computed by exact bracket recursion on the base
     fields (symbolic when both carry expressions, otherwise via their
@@ -262,6 +277,6 @@ def transported_derivatives(
     out = [X.at(x0)]
     B = X
     for k in range(1, k_max + 1):
-        B = ad_iterate(Y, B, 1)
+        B = base_lie_bracket(Y, B)
         out.append(((-1.0) ** k) * B.at(x0))
     return out

@@ -23,9 +23,9 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
     IntegratorConfig,
     TangentTrajectory,
     integrate_fixed,
-    integrate_segments,
+    joint_flow,
     pullback_vector,
-    variational_rhs,
+    simulate_bundle,
 )
 from .lifts import base_lie_bracket
 from .manifold import BasePoint, DriftControlSystem, TangentPoint
@@ -36,6 +36,11 @@ _BOUNDARY_RTOL = 1e-9
 
 class LiftedSystem(DriftControlSystem):
     """dv/dt = Y^c(v) + sum_i u_i Xi^v(v) on the tangent bundle."""
+
+    def drift_lift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The complete lift Y^c = (Y(x), J_Y(x) y)."""
+        value, jac = self.drift.value_and_jacobian(x)
+        return np.concatenate([value, jac @ y])
 
 
 @dataclass(frozen=True)
@@ -123,20 +128,9 @@ def _transport_segments(
     gives the segment's integral before the push to the endpoint fiber.
     """
     n = sys.manifold.dim
-    rhs = variational_rhs(sys.drift)
-    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    times, rows, offsets = integrate_segments(
-        lambda k: rhs, z0, boundaries, lambda span: _even_substeps(span, cfg), sys.manifold
-    )
-    xs = rows[:, :n]
-    Js = rows[:, n:].reshape(-1, n, n)
+    times, xs, Js, offsets = joint_flow(sys.drift, x0, boundaries, lambda span: _even_substeps(span, cfg))
     F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
-    try:
-        pulled = np.linalg.solve(Js[:, None], F[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for J, f in zip(Js, F[:, 0]):
-            pullback_vector(J, f)  # raises NumericalError at the first singular J
-        raise
+    pulled = pullback_vector(Js[:, None], F[..., None])[..., 0]
     Z = np.empty((len(boundaries) - 1, sys.control_dim, n))
     for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
         h = (boundaries[k + 1] - boundaries[k]) / (end - start)
@@ -166,29 +160,7 @@ def simulate_lifted_ode(
     fiber obeys dy/dt = J_Y(x) y + sum_i u_i Xi(x).  Steps never
     straddle a control segment boundary.
     """
-    boundaries = segment_boundaries(u, horizon, sys.control_dim)
-    n = sys.manifold.dim
-
-    def rhs_for(k):
-        u_seg = u.values[k] if u is not None else None
-
-        def rhs(t, z):
-            x = sys.manifold.check(z[:n])
-            value, jac = sys.drift.value_and_jacobian(x)
-            ydot = jac @ z[n:]
-            if u_seg is not None:
-                for ui, X in zip(u_seg, sys.controls):
-                    ydot = ydot + ui * X.value(x)
-            return np.concatenate([value, ydot])
-
-        return rhs
-
-    times, rows, _ = integrate_segments(
-        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
-    )
-    return TangentTrajectory(
-        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
-    )
+    return simulate_bundle(sys, v0, u, cfg, horizon)
 
 
 def endpoint_closed_form(

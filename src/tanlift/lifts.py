@@ -74,16 +74,16 @@ def vertical_lift(X: VectorField) -> LiftedVectorField:
     )
 
 
-def complete_lift(X: VectorField, h: float = DEFAULT_DERIV_STEP) -> LiftedVectorField:
+def complete_lift(X: VectorField) -> LiftedVectorField:
     """Complete lift: the field on TM whose flow is the differential of X's flow.
 
     Coefficients are (X(x), J_X(x) y), using the analytic Jacobian when
-    the field has one and central differences with step ``h`` otherwise.
+    the field has one and central differences otherwise.
     """
 
     def func(w):
         n = X.manifold.dim
-        value, jac = X.value_and_jacobian(w[:n], h)
+        value, jac = X.value_and_jacobian(w[:n])
         return np.concatenate([value, jac @ w[n:]])
 
     return LiftedVectorField(
@@ -118,21 +118,10 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(manifold=X.manifold, func=func, jac=None, name=name)
 
 
-def ad_iterate(Y: VectorField, X: VectorField, k: int) -> VectorField:
-    """k-fold iterated bracket ad_Y^k X = [Y, [Y, ... [Y, X]]]."""
-    if k < 0:
-        raise ValueError("bracket depth must be >= 0")
-    B = X
-    for _ in range(k):
-        B = base_lie_bracket(Y, B)
-    return B
-
-
 def lie_bracket(
     A: LiftedVectorField,
     B: LiftedVectorField,
     v: TangentPoint,
-    h: float = DEFAULT_DERIV_STEP,
     method: str = "auto",
 ) -> np.ndarray:
     """Bracket [A, B] of lifted fields evaluated at a tangent point.
@@ -158,7 +147,7 @@ def lie_bracket(
         if pair == (COMPLETE_LIFT, COMPLETE_LIFT):
             return complete_lift(base_lie_bracket(A.source, B.source)).at(v)
     w = v.as_vector()
-    return central_differences(B.at, w, h) @ A.at(v) - central_differences(A.at, w, h) @ B.at(v)
+    return central_differences(B.at, w) @ A.at(v) - central_differences(A.at, w) @ B.at(v)
 
 
 def is_vertical(F: LiftedVectorField, samples: Iterable[TangentPoint], tol: float = 1e-12) -> bool:
@@ -203,9 +192,7 @@ def function_lift_eval(F: FunctionLift, v: TangentPoint) -> float:
     return float(F.gradient_at(x) @ v.fiber)
 
 
-def directional_derivative(
-    F: FunctionLift, W: LiftedVectorField, v: TangentPoint, h: float = DEFAULT_DERIV_STEP
-) -> float:
+def directional_derivative(F: FunctionLift, W: LiftedVectorField, v: TangentPoint) -> float:
     """Finite-difference derivative of a lifted function along a lifted field.
 
     Used by the identity battery to check the derivation rules of the
@@ -214,6 +201,7 @@ def directional_derivative(
     w = v.as_vector()
     direction = W.at(v)
     n = F.manifold.dim
+    h = DEFAULT_DERIV_STEP
 
     def eval_at(vec):
         point = TangentPoint(BasePoint(F.manifold, vec[:n]), vec[n:])

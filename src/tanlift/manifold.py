@@ -146,15 +146,15 @@ class VectorField:
         """Coefficient vector at coordinates the caller has already checked."""
         return _as_vector(self.func(coords), self.manifold.dim, f"{self.name} coefficients")
 
-    def jacobian_at(self, point, h: float = DEFAULT_DERIV_STEP) -> np.ndarray:
+    def jacobian_at(self, point) -> np.ndarray:
         """Coefficient Jacobian, analytic when available, else central differences."""
-        return self.value_and_jacobian(self._coords(point), h)[1]
+        return self.value_and_jacobian(self._coords(point))[1]
 
-    def value_and_jacobian(self, coords: np.ndarray, h: float = DEFAULT_DERIV_STEP) -> tuple:
+    def value_and_jacobian(self, coords: np.ndarray) -> tuple:
         """Coefficients and Jacobian at coordinates the caller has already checked.
 
         A compiled field makes one ``kernel`` call; any other field goes
-        through ``func`` and ``jac`` (or central differences with step h).
+        through ``func`` and ``jac`` (or central differences).
         """
         n = self.manifold.dim
         if self.kernel is not None:
@@ -162,7 +162,7 @@ class VectorField:
             return flat[:n], flat[n:].reshape(n, n)
         value = self.value(coords)
         if self.jac is None:
-            return value, numeric_jacobian(self, coords, h)
+            return value, numeric_jacobian(self, coords)
         mat = np.asarray(self.jac(coords), dtype=float)
         if mat.shape != (n, n):
             raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
@@ -201,6 +201,16 @@ class DriftControlSystem:
     @property
     def control_dim(self) -> int:
         return len(self.controls)
+
+    def velocity(self, z: np.ndarray, u) -> np.ndarray:
+        """Velocity ``drift_lift(x, y)`` + sum_i u_i Xi^v at z = (x, y); checks x once."""
+        n = self.manifold.dim
+        x = self.manifold.check(z[:n])
+        v = self.drift_lift(x, z[n:])
+        if u is not None:
+            for ui, X in zip(u, self.controls):
+                v[n:] += ui * X.value(x)
+        return v
 
 
 def project(v: TangentPoint) -> BasePoint:
@@ -252,14 +262,13 @@ def sample_tangent_points(
     manifold: ChartManifold,
     count: int,
     rng: np.random.Generator,
-    fiber_scale: float = 1.0,
 ) -> list:
     """Draw seeded random tangent points inside the chart's sampling box."""
     low, high = manifold.sample_box()
     points = []
     for _ in range(count):
         x = rng.uniform(low, high)
-        y = rng.uniform(-fiber_scale, fiber_scale, size=manifold.dim)
+        y = rng.uniform(-1.0, 1.0, size=manifold.dim)
         points.append(manifold.tangent_point(x, y))
     return points
 

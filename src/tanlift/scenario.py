@@ -75,8 +75,15 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _object(raw, key: str) -> dict:
+    """The JSON object read from the scenario key ``key``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{key} must be a JSON object, got {raw!r}")
+    return raw
+
+
 def _initial_point(manifold: ChartManifold, block: dict, context: str) -> TangentPoint:
-    spec = _require(block, "initial", context)
+    spec = _object(_require(block, "initial", context), f"{context}.initial")
     base = _require(spec, "base", f"{context}.initial")
     fiber = _require(spec, "fiber", f"{context}.initial")
     try:
@@ -174,8 +181,8 @@ def load_scenario(source) -> Scenario:
 
     vertical = None
     if "vertical_system" in doc:
-        block = doc["vertical_system"]
         context = "vertical_system"
+        block = _object(doc[context], context)
         horizon = _horizon(block, context)
         initial = _initial_point(manifold, block, context)
         if "fiber_dynamics" in block:
@@ -201,8 +208,8 @@ def load_scenario(source) -> Scenario:
 
     lifted = None
     if "lifted_system" in doc:
-        block = doc["lifted_system"]
         context = "lifted_system"
+        block = _object(doc[context], context)
         horizon = _horizon(block, context)
         initial = _initial_point(manifold, block, context)
         drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
@@ -210,8 +217,8 @@ def load_scenario(source) -> Scenario:
         controls = _named_fields(fields, names, context, "controls")
         system = LiftedSystem(manifold=manifold, drift=drift, controls=tuple(controls))
         control = _control(block, horizon, len(controls), context)
-        spec = block.get("bump", {})
         where = f"{context}.bump"
+        spec = _object(block.get("bump", {}), where)
         t0 = spec.get("t0_fraction", 0.5)
         fractions = spec.get("epsilon_fractions", [0.125, 0.0625, 0.03125])
         channel = spec.get("channel", 0)
@@ -240,7 +247,7 @@ def load_scenario(source) -> Scenario:
             bump=bump,
         )
 
-    check_spec = doc.get("lift_check", {})
+    check_spec = _object(doc.get("lift_check", {}), "lift_check")
     check_fields = check_spec.get("fields", sorted(fields))
     _named_fields(fields, check_fields, "lift_check", "fields")
     samples = check_spec.get("samples", 50)

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlSignal, segment_boundaries
+from .controls import ControlSignal
 from .errors import UnreachableTargetError
-from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, integrate_segments
+from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
 
@@ -28,13 +28,9 @@ class VerticalAffineSystem(DriftControlSystem):
         """Columns Xi(x), the directions reachable in the fiber."""
         return np.column_stack([X.at(x) for X in self.controls])
 
-    def fiber_velocity(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
-        x = self.manifold.check(x)
-        vel = self.drift.value(x)
-        if u is not None:
-            for ui, X in zip(np.asarray(u, dtype=float), self.controls):
-                vel = vel + ui * X.value(x)
-        return vel
+    def drift_lift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The vertical lift X0^v = (0, X0(x))."""
+        return np.concatenate([np.zeros(self.manifold.dim), self.drift.value(x)])
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,10 @@ class GeneralVerticalSystem:
     dynamics: Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
     control_dim: int = 0
 
-    def fiber_velocity(self, x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
-        return np.asarray(self.dynamics(x, y, u), dtype=float)
+    def velocity(self, z: np.ndarray, u) -> np.ndarray:
+        """Bundle velocity (0, f(x, y, u)) at z = (x, y); the base is not checked."""
+        n = self.manifold.dim
+        return np.concatenate([np.zeros(n), np.asarray(self.dynamics(z[:n], z[n:], u), dtype=float)])
 
 
 @dataclass(frozen=True)
@@ -107,19 +105,7 @@ def simulate_vertical_ode(
     block of the state has identically zero velocity, so base
     coordinates stay exactly equal to the initial ones.
     """
-    boundaries = segment_boundaries(u, horizon, sys.control_dim)
-    n = sys.manifold.dim
-
-    def rhs_for(k):
-        u_seg = u.values[k] if u is not None else None
-        return lambda t, z: np.concatenate([np.zeros(n), sys.fiber_velocity(z[:n], z[n:], u_seg)])
-
-    times, rows, _ = integrate_segments(
-        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
-    )
-    return TangentTrajectory(
-        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
-    )
+    return simulate_bundle(sys, v0, u, cfg, horizon)
 
 
 def reachable_vertical(

@@ -110,6 +110,23 @@ def test_scenario_numbers_out_of_range_are_input_errors(capsys, tmp_path, path, 
     assert err.startswith(f"error: {'.'.join(path)}")
 
 
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("vertical_system",), [], "vertical_system"),
+        (("vertical_system",), {"horizon": 1.0, "initial": 0}, "vertical_system.initial"),
+        (("lifted_system",), 5, "lifted_system"),
+        (("lifted_system", "initial"), 0, "lifted_system.initial"),
+        (("lifted_system", "bump"), 5, "lifted_system.bump"),
+        (("lift_check",), [], "lift_check"),
+    ],
+)
+def test_scenario_sub_blocks_must_be_objects(capsys, tmp_path, path, value, key):
+    code, out, err = _run_shear_variant(capsys, tmp_path, path, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} must be a JSON object, got ")
+
+
 def test_scenario_rejects_bad_horizon(tmp_path):
     doc = {
         "schema": "tanlift-scenario-v1",

@@ -14,7 +14,7 @@ from tanlift import (
     transported_derivatives,
     transported_field,
 )
-from tanlift.flows import integrate_segments
+from tanlift.flows import integrate_segments, pullback_vector
 
 from conftest import random_smooth_field
 
@@ -231,3 +231,16 @@ def test_transported_derivatives_depth_guard(r2):
     X = field_from_callable(r2, lambda x: np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         transported_derivatives(Y, X, r2.point([1.0, 0.0]), 7)
+
+
+def test_pullback_vector_solves_a_stack_like_each_matrix():
+    rng = np.random.default_rng(5)
+    J = rng.uniform(-1.0, 1.0, (6, 1, 3, 3)) + 3.0 * np.eye(3)
+    F = rng.uniform(-1.0, 1.0, (6, 2, 3, 1))
+    stacked = pullback_vector(J, F)
+    for k in range(6):
+        for i in range(2):
+            assert np.array_equal(stacked[k, i], pullback_vector(J[k, 0], F[k, i]))
+    J[3, 0] = 0.0
+    with pytest.raises(NumericalError, match=r"^flow differential is numerically singular \(cond = inf\)$"):
+        pullback_vector(J, F)
