@@ -13,22 +13,33 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .lifts import (
     FunctionLift,
-    complete_lift,
+    _bracket,
+    _value_and_stencil,
     base_lie_bracket,
+    complete_lift,
     directional_derivative,
     function_lift_eval,
-    lie_bracket,
     vertical_lift,
 )
 from .manifold import ChartManifold, VectorField, dprojection, sample_tangent_points
 
-BRACKET_TOL_FIRST = 1e-6
-BRACKET_TOL_SECOND = 1e-5
-PROJECTION_TOL = 1e-9
-DERIVATION_TOL = 1e-5
-LINEARITY_COMPLETE_TOL = 1e-6
+# Each identity: the key of its running max, its name in the report, and
+# the tolerance its max residual is held to.  Records follow this order.
+IDENTITIES = (
+    ("vv", "bracket of vertical lifts vanishes", 1e-6),
+    ("cv", "complete-vertical bracket is lifted base bracket", 1e-5),
+    ("cc", "complete-complete bracket is lifted base bracket", 1e-5),
+    ("projection", "complete lift projects onto the base field", 1e-9),
+    ("linear_v", "vertical lift is linear", 0.0),
+    ("linear_c", "complete lift is linear", 1e-6),
+    ("derive_vv", "vertical lift annihilates vertical function lifts", 1e-5),
+    ("derive_cv", "complete lift derives vertical function lifts", 1e-5),
+    ("derive_cc", "complete lift derives complete function lifts", 1e-5),
+    ("fiber", "fiber translation curve has vertical-lift velocity", 1e-9),
+)
 
 
 def linear_combination(a: float, X: VectorField, b: float, Y: VectorField) -> VectorField:
@@ -91,110 +102,84 @@ def run_identity_battery(
 ) -> list:
     """Check the lift identities over all ordered field pairs.
 
+    One pass over the sample points: at each point every field's vertical
+    and complete lift is evaluated and central-differenced once, and all
+    numeric brackets are formed from those (value, stencil) pairs.  The
+    bracket identities use every point, linearity the first 10, the
+    derivation and fiber-translation identities the first 20.
+
     Returns one record per identity with the max residual, the
-    tolerance it is held to, and a pass flag.
+    tolerance it is held to, and a pass flag.  A non-finite lift value
+    or residual raises ``NumericalError`` naming the field or identity
+    and the sample point.
     """
     if len(fields) < 2:
         raise ValueError("identity battery needs at least 2 fields")
     rng = np.random.default_rng(seed)
     points = sample_tangent_points(manifold, samples, rng)
     n = manifold.dim
-    pairs = [(X, Y) for X in fields for Y in fields]
-
-    records = []
-
-    def record(identity, residual, tolerance):
-        records.append(
-            {
-                "identity": identity,
-                "max_residual": float(residual),
-                "tolerance": tolerance,
-                "pass": bool(residual <= tolerance),
-            }
-        )
-
-    # Bracket identities, numeric bracket vs exact algebra.
-    res_vv = 0.0
-    res_cv = 0.0
-    res_cc = 0.0
-    for X, Y in pairs:
-        Xv, Yv = vertical_lift(X), vertical_lift(Y)
-        Xc, Yc = complete_lift(X), complete_lift(Y)
-        XY = base_lie_bracket(X, Y)
-        XYv, XYc = vertical_lift(XY), complete_lift(XY)
-        for v in points:
-            res_vv = max(res_vv, np.max(np.abs(lie_bracket(Xv, Yv, v, method="numeric"))))
-            res_cv = max(
-                res_cv,
-                np.max(np.abs(lie_bracket(Xc, Yv, v, method="numeric") - XYv.at(v))),
-            )
-            res_cc = max(
-                res_cc,
-                np.max(np.abs(lie_bracket(Xc, Yc, v, method="numeric") - XYc.at(v))),
-            )
-    record("bracket of vertical lifts vanishes", res_vv, BRACKET_TOL_FIRST)
-    record("complete-vertical bracket is lifted base bracket", res_cv, BRACKET_TOL_SECOND)
-    record("complete-complete bracket is lifted base bracket", res_cc, BRACKET_TOL_SECOND)
-
-    # Projection relation of the complete lift.
-    res = 0.0
-    for X in fields:
-        Xc = complete_lift(X)
-        for v in points:
-            res = max(res, np.max(np.abs(dprojection(v, Xc.at(v)) - X.at(v.base))))
-    record("complete lift projects onto the base field", res, PROJECTION_TOL)
-
-    # Linearity of both lifts under random combinations.
-    res_v = 0.0
-    res_c = 0.0
-    for X, Y in pairs:
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        combo = linear_combination(a, X, b, Y)
-        combo_v, combo_c = vertical_lift(combo), complete_lift(combo)
-        Xv, Yv = vertical_lift(X), vertical_lift(Y)
-        Xc, Yc = complete_lift(X), complete_lift(Y)
-        for v in points[:10]:
-            res_v = max(res_v, np.max(np.abs(combo_v.at(v) - (a * Xv.at(v) + b * Yv.at(v)))))
-            res_c = max(res_c, np.max(np.abs(combo_c.at(v) - (a * Xc.at(v) + b * Yc.at(v)))))
-    record("vertical lift is linear", res_v, 0.0)
-    record("complete lift is linear", res_c, LINEARITY_COMPLETE_TOL)
-
-    # Derivation identities against a fixed analytic test function.
+    pairs = [(i, j) for i in range(len(fields)) for j in range(len(fields))]
+    coefficients = [rng.uniform(-2.0, 2.0, size=2) for _ in pairs]
+    lifts = [(vertical_lift(X), complete_lift(X)) for X in fields]
+    brackets = [base_lie_bracket(fields[i], fields[j]) for i, j in pairs]
+    exact = [(vertical_lift(B), complete_lift(B)) for B in brackets]
+    combos = [
+        linear_combination(a, fields[i], b, fields[j]) for (i, j), (a, b) in zip(pairs, coefficients)
+    ]
+    combo_lifts = [(vertical_lift(C), complete_lift(C)) for C in combos]
     f, grad, hess = _test_function(manifold)
     fv = FunctionLift(manifold=manifold, base_fn=f, kind="vertical", gradient=grad)
     fc = FunctionLift(manifold=manifold, base_fn=f, kind="complete", gradient=grad)
-    res_vv_fn = 0.0
-    res_cv_fn = 0.0
-    res_cc_fn = 0.0
-    for X in fields:
-        Xv, Xc = vertical_lift(X), complete_lift(X)
-        Xf_v = _derived_function_lift(X, "vertical", f, grad, hess)
-        Xf_c = _derived_function_lift(X, "complete", f, grad, hess)
-        for v in points[:20]:
-            res_vv_fn = max(res_vv_fn, abs(directional_derivative(fv, Xv, v)))
-            res_cv_fn = max(
-                res_cv_fn,
-                abs(directional_derivative(fv, Xc, v) - function_lift_eval(Xf_v, v)),
-            )
-            res_cc_fn = max(
-                res_cc_fn,
-                abs(directional_derivative(fc, Xc, v) - function_lift_eval(Xf_c, v)),
-            )
-    record("vertical lift annihilates vertical function lifts", res_vv_fn, DERIVATION_TOL)
-    record("complete lift derives vertical function lifts", res_cv_fn, DERIVATION_TOL)
-    record("complete lift derives complete function lifts", res_cc_fn, DERIVATION_TOL)
-
-    # The fiber-translation curve has the vertical lift as its velocity.
-    res = 0.0
+    derived = [
+        [_derived_function_lift(X, kind, f, grad, hess) for kind in ("vertical", "complete")]
+        for X in fields
+    ]
+    names = {key: name for key, name, _ in IDENTITIES}
+    worst = dict.fromkeys(names, 0.0)
     h = 1e-5
-    for X in fields:
-        Xv = vertical_lift(X)
-        for v in points[:20]:
-            direction = X.at(v.base)
-            fd = np.concatenate(
-                [np.zeros(n), ((v.fiber + h * direction) - (v.fiber - h * direction)) / (2 * h)]
-            )
-            res = max(res, np.max(np.abs(fd - Xv.at(v))))
-    record("fiber translation curve has vertical-lift velocity", res, PROJECTION_TOL)
 
-    return records
+    def note(key, residual):
+        if not np.isfinite(residual):
+            raise NumericalError(f"identity {names[key]!r} is not finite at {where}")
+        worst[key] = max(worst[key], residual)
+
+    with np.errstate(all="ignore"):
+        for k, v in enumerate(points):
+            w = v.as_vector()
+            where = f"sample point {k}, (x, y) = {w.tolist()}"
+            # (value, stencil) pairs of each field's vertical and complete lift.
+            vert = [_value_and_stencil(Xv, w) for Xv, _ in lifts]
+            comp = [_value_and_stencil(Xc, w) for _, Xc in lifts]
+            for X, (xv, _), (xc, _) in zip(fields, vert, comp):
+                if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(xc))):
+                    raise NumericalError(f"lifts of field {X.name!r} are not finite at {where}")
+            for (i, j), (Bv, Bc) in zip(pairs, exact):
+                note("vv", np.max(np.abs(_bracket(vert[i], vert[j]))))
+                note("cv", np.max(np.abs(_bracket(comp[i], vert[j]) - Bv.at(v))))
+                note("cc", np.max(np.abs(_bracket(comp[i], comp[j]) - Bc.at(v))))
+            for (xv, _), (xc, _) in zip(vert, comp):
+                note("projection", np.max(np.abs(dprojection(v, xc) - xv[n:])))
+            if k >= 20:
+                continue
+            for (Xv, Xc), (Xf_v, Xf_c), (xv, _) in zip(lifts, derived, vert):
+                note("derive_vv", abs(directional_derivative(fv, Xv, v)))
+                note("derive_cv", abs(directional_derivative(fv, Xc, v) - function_lift_eval(Xf_v, v)))
+                note("derive_cc", abs(directional_derivative(fc, Xc, v) - function_lift_eval(Xf_c, v)))
+                # Velocity of the fiber-translation curve (x, y + t X(x)) at t = 0.
+                fd = ((v.fiber + h * xv[n:]) - (v.fiber - h * xv[n:])) / (2 * h)
+                note("fiber", np.max(np.abs(np.concatenate([np.zeros(n), fd]) - xv)))
+            if k >= 10:
+                continue
+            for (i, j), (a, b), (Cv, Cc) in zip(pairs, coefficients, combo_lifts):
+                note("linear_v", np.max(np.abs(Cv.at(v) - (a * vert[i][0] + b * vert[j][0]))))
+                note("linear_c", np.max(np.abs(Cc.at(v) - (a * comp[i][0] + b * comp[j][0]))))
+
+    return [
+        {
+            "identity": name,
+            "max_residual": float(worst[key]),
+            "tolerance": tolerance,
+            "pass": bool(worst[key] <= tolerance),
+        }
+        for key, name, tolerance in IDENTITIES
+    ]

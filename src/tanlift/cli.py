@@ -342,7 +342,7 @@ def cmd_brackets(run: _Run) -> tuple:
         point = scenario.manifold.point(0.5 * (low + high))
     names = sorted(scenario.fields)
     if not names:
-        raise ScenarioError("brackets needs at least one field defined")
+        raise ScenarioError("brackets needs at least one field defined in fields")
     pairs = []
     for a in names:
         for b in names:

@@ -10,6 +10,7 @@ through lambdify.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from typing import Sequence
 
@@ -20,6 +21,9 @@ from .errors import ExpressionError
 from .manifold import ChartManifold, VectorField
 
 _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow": (None, 2)}
+
+# What sympy reduces a division by zero or pow(0, negative) to.
+_UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -90,11 +94,11 @@ class _Parser:
     def term(self):
         node = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = node * rhs if text == "*" else node / rhs
+                node = node * rhs if text == "*" else _defined(node / rhs, pos)
             else:
                 return node
 
@@ -111,6 +115,8 @@ class _Parser:
     def primary(self):
         kind, text, pos = self.advance()
         if kind == "number":
+            if not math.isfinite(float(text)):
+                raise ExpressionError(f"number {text} is out of range", pos)
             return sp.Float(text) if ("." in text or "e" in text or "E" in text) else sp.Integer(int(text))
         if kind == "name":
             if text in _FUNCTIONS:
@@ -127,7 +133,7 @@ class _Parser:
                 fn, arity = _FUNCTIONS[text]
                 if len(args) != arity:
                     raise ExpressionError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
-                return args[0] ** args[1] if text == "pow" else fn(args[0])
+                return _defined(args[0] ** args[1], pos) if text == "pow" else fn(args[0])
             if text not in self.symbols:
                 known = ", ".join(sorted(self.symbols))
                 raise ExpressionError(f"unknown variable {text!r} (known: {known})", pos)
@@ -138,6 +144,13 @@ class _Parser:
             return node
         label = repr(text) if text else "end of input"
         raise ExpressionError(f"unexpected {label}", pos)
+
+
+def _defined(node, pos: int):
+    """``node``, unless sympy reduced it to an infinity or NaN."""
+    if node.has(*_UNDEFINED):
+        raise ExpressionError(f"undefined value {node} (division by zero)", pos)
+    return node
 
 
 def chart_symbols(dim: int, prefix: str = "x") -> dict:

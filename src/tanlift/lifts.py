@@ -127,8 +127,8 @@ def lie_bracket(
     """Bracket [A, B] of lifted fields evaluated at a tangent point.
 
     ``method="numeric"`` always uses finite-difference Jacobians on the
-    2n-dimensional induced coordinates, which is what the identity
-    battery exercises.  ``"auto"`` takes the exact closed form when both
+    2n-dimensional induced coordinates; the identity battery forms the
+    same bracket from its per-point stencils of each lift.  ``"auto"`` takes the exact closed form when both
     operands are recognized lifts with known sources:
     vertical/vertical brackets vanish, complete/vertical gives the
     vertical lift of the base bracket, complete/complete the complete
@@ -147,7 +147,18 @@ def lie_bracket(
         if pair == (COMPLETE_LIFT, COMPLETE_LIFT):
             return complete_lift(base_lie_bracket(A.source, B.source)).at(v)
     w = v.as_vector()
-    return central_differences(B.at, w) @ A.at(v) - central_differences(A.at, w) @ B.at(v)
+    return _bracket(_value_and_stencil(A, w), _value_and_stencil(B, w))
+
+
+def _value_and_stencil(F: LiftedVectorField, w: np.ndarray) -> tuple:
+    """F's coefficients at the 2n-vector w and their central differences there."""
+    return F.at(w), central_differences(F.at, w)
+
+
+def _bracket(a: tuple, b: tuple) -> np.ndarray:
+    """Numeric bracket [A, B] = DB a - DA b from the (value, stencil) pairs of A and B."""
+    (a_value, a_stencil), (b_value, b_stencil) = a, b
+    return b_stencil @ a_value - a_stencil @ b_value
 
 
 def is_vertical(F: LiftedVectorField, samples: Iterable[TangentPoint], tol: float = 1e-12) -> bool:

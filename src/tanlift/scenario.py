@@ -87,9 +87,12 @@ def _initial_point(manifold: ChartManifold, block: dict, context: str) -> Tangen
     base = _require(spec, "base", f"{context}.initial")
     fiber = _require(spec, "fiber", f"{context}.initial")
     try:
-        return manifold.tangent_point(base, fiber)
+        point = manifold.tangent_point(base, fiber)
     except Exception as err:
         raise ScenarioError(f"{context}.initial: {err}") from err
+    if not np.all(np.isfinite(point.fiber)):
+        raise ScenarioError(f"{context}.initial.fiber must be finite numbers, got {fiber!r}")
+    return point
 
 
 def _horizon(block: dict, context: str) -> float:
@@ -137,8 +140,17 @@ def _named_fields(fields: dict, names, context: str, key: str) -> list:
         raise ScenarioError(f"{context}.{key} must be a list of field names, got {names!r}")
     for name in names:
         if not isinstance(name, str) or name not in fields:
-            raise ScenarioError(f"{context}: field {name!r} is not defined")
+            raise ScenarioError(f"{context}: field {name!r} is not defined in fields")
     return [fields[name] for name in names]
+
+
+def _drift_and_controls(fields: dict, block: dict, context: str) -> tuple:
+    """The drift field and the non-empty tuple of control fields of a system block."""
+    drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
+    controls = _named_fields(fields, _require(block, "controls", context), context, "controls")
+    if not controls:
+        raise ScenarioError(f"{context}.controls must name at least one field")
+    return drift, tuple(controls)
 
 
 def load_scenario(source) -> Scenario:
@@ -160,6 +172,8 @@ def load_scenario(source) -> Scenario:
             f"unsupported scenario schema {doc.get('schema')!r}; expected {SCHEMA!r}"
         )
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     try:
         manifold = builtin_manifold(_require(doc, "manifold", "scenario"))
     except ValueError as err:
@@ -188,21 +202,20 @@ def load_scenario(source) -> Scenario:
         if "fiber_dynamics" in block:
             control_dim = block.get("control_dim", 0)
             _number(control_dim, f"{context}.control_dim", "an integer >= 0", lambda v: v >= 0, True)
+            exprs = block["fiber_dynamics"]
+            if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+                raise ScenarioError(f"{context}.fiber_dynamics must be a list of strings, got {exprs!r}")
             try:
-                dynamics = fiber_dynamics_from_expressions(
-                    manifold, block["fiber_dynamics"], control_dim
-                )
-            except ExpressionError as err:
+                dynamics = fiber_dynamics_from_expressions(manifold, exprs, control_dim)
+            except (ExpressionError, ValueError) as err:
                 raise ScenarioError(f"{context}.fiber_dynamics: {err}") from err
             system = GeneralVerticalSystem(
                 manifold=manifold, dynamics=dynamics, control_dim=control_dim
             )
             control = _control(block, horizon, control_dim, context) if control_dim else None
         else:
-            drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
-            names = _require(block, "controls", context)
-            controls = _named_fields(fields, names, context, "controls")
-            system = VerticalAffineSystem(manifold=manifold, drift=drift, controls=tuple(controls))
+            drift, controls = _drift_and_controls(fields, block, context)
+            system = VerticalAffineSystem(manifold=manifold, drift=drift, controls=controls)
             control = _control(block, horizon, len(controls), context)
         vertical = VerticalBlock(system=system, initial=initial, horizon=horizon, control=control)
 
@@ -212,16 +225,15 @@ def load_scenario(source) -> Scenario:
         block = _object(doc[context], context)
         horizon = _horizon(block, context)
         initial = _initial_point(manifold, block, context)
-        drift = _named_fields(fields, [_require(block, "drift", context)], context, "drift")[0]
-        names = _require(block, "controls", context)
-        controls = _named_fields(fields, names, context, "controls")
-        system = LiftedSystem(manifold=manifold, drift=drift, controls=tuple(controls))
+        drift, controls = _drift_and_controls(fields, block, context)
+        system = LiftedSystem(manifold=manifold, drift=drift, controls=controls)
         control = _control(block, horizon, len(controls), context)
         where = f"{context}.bump"
         spec = _object(block.get("bump", {}), where)
-        t0 = spec.get("t0_fraction", 0.5)
-        fractions = spec.get("epsilon_fractions", [0.125, 0.0625, 0.03125])
-        channel = spec.get("channel", 0)
+        defaults = BumpStudy()
+        t0 = spec.get("t0_fraction", defaults.t0_fraction)
+        fractions = spec.get("epsilon_fractions", defaults.epsilon_fractions)
+        channel = spec.get("channel", defaults.channel)
         if not isinstance(fractions, (list, tuple)) or not fractions:
             raise ScenarioError(f"{where}.epsilon_fractions must be a non-empty list, got {fractions!r}")
         bump = BumpStudy(

@@ -191,6 +191,61 @@ def test_lift_check_needs_two_fields(capsys, tmp_path):
     assert code == 2
 
 
+def test_lift_check_stops_at_a_non_finite_lift(capsys, tmp_path):
+    # X is NaN where x1 > 1.9; sample point 39 of seed 3 lies there.
+    doc = {
+        "schema": "tanlift-scenario-v1",
+        "manifold": "R2",
+        "fields": {"X": ["pow(1.9 - x1, 0.5)", "1"], "Y": ["x2", "0"]},
+        "lift_check": {"fields": ["X", "Y"], "samples": 50},
+    }
+    path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["lift-check", "--scenario", path, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(
+        "numerical failure: lifts of field 'X' are not finite at sample point 39, (x, y) = [1.999"
+    )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "scenario, path, value, message",
+    [
+        ("r2_shear", ("fields", "Y"), ["0", "1/0"], "field 'Y': undefined value zoo"),
+        ("r2_shear", ("fields", "Y"), ["x1/0", "0"], "field 'Y': undefined value zoo*x1"),
+        ("r2_shear", ("fields", "Y"), ["0", "pow(0, -1)"], "field 'Y': undefined value zoo"),
+        ("r2_shear", ("fields", "Y"), ["0/0", "x1"], "field 'Y': undefined value nan"),
+        ("r2_shear", ("fields", "X1"), ["1e400", "0"], "field 'X1': number 1e400 is out of range"),
+        ("s2_damping", ("vertical_system", "fiber_dynamics"), ["1/0", "0"], "vertical_system.fiber_dynamics: "),
+        ("s2_damping", ("vertical_system", "fiber_dynamics"), 3, "vertical_system.fiber_dynamics must be "),
+        ("s2_damping", ("vertical_system", "fiber_dynamics"), None, "vertical_system.fiber_dynamics must be "),
+        ("s2_damping", ("vertical_system", "fiber_dynamics"), [[1]], "vertical_system.fiber_dynamics must be "),
+        ("s2_damping", ("vertical_system", "fiber_dynamics"), ["0"], "vertical_system.fiber_dynamics: need 2"),
+        ("r2_shear", ("lifted_system", "initial", "fiber"), [math.inf, 0.0], "lifted_system.initial.fiber "),
+        ("s2_damping", ("vertical_system", "initial", "fiber"), [0.0, -math.inf], "vertical_system.initial.fiber "),
+        ("r2_shear", ("lifted_system", "controls"), [], "lifted_system.controls must name at least one"),
+        ("r2_shear", ("name",), math.nan, "name must be a string"),
+    ],
+)
+def test_malformed_scenario_input_names_its_key(capsys, tmp_path, scenario, path, value, message):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    spec = doc
+    for key in path[:-1]:
+        spec = spec[key]
+    spec[path[-1]] = value
+    scenario_path = write_scenario(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--scenario", scenario_path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {message}")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_malformed_expression_is_input_error(capsys, tmp_path):
     doc = {"schema": "tanlift-scenario-v1", "manifold": "R2", "fields": {"B": ["sin(", "0"]}}
     code, _, _ = run_cli(capsys, "lift-check", "--scenario", write_scenario(tmp_path, doc))
