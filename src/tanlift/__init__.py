@@ -30,7 +30,6 @@ from .flows import (
     TangentTrajectory,
     flow,
     flow_differential,
-    flow_with_jacobians,
     transported_derivatives,
     transported_field,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "fiber_dynamics_from_expressions",
     "flow",
     "flow_differential",
-    "flow_with_jacobians",
     "function_lift_eval",
     "is_vertical",
     "lie_bracket",

@@ -267,7 +267,7 @@ def cmd_reachable(run: _Run) -> tuple:
         grid = build_transport_grid(
             block.system, block.initial.base, block.horizon, max(run.grid, dim), run.cfg
         )
-        anchor = TangentPoint(grid.flow.final_point, grid.endpoint_jacobian @ block.initial.fiber)
+        anchor = TangentPoint(grid.final_point, grid.endpoint_jacobian @ block.initial.fiber)
         transport_span = span_basis(grid.transported.reshape(-1, dim), run.args.rank_tol)
         payload["lifted"] = {
             "anchor": _tangent_payload(anchor),

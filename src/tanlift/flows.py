@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .controls import segment_boundaries
@@ -50,18 +48,18 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(frozen=True)
 class FlowResult:
-    """States (and optionally flow Jacobians) on a uniform time grid.
+    """States and flow Jacobians at the nodes of one joint flow pass.
 
     ``states[k]`` approximates the flow at ``times[k]`` starting from
-    ``states[0]``; when present, ``jacobians[k]`` is the differential of
-    the time-``times[k]`` flow map at the initial point (identity at the
+    ``states[0]``; ``jacobians[k]`` is the differential of the
+    time-``times[k]`` flow map at the initial point (identity at the
     start).
     """
 
     manifold: ChartManifold
     times: np.ndarray
     states: np.ndarray
-    jacobians: Optional[np.ndarray] = None
+    jacobians: np.ndarray
 
     @property
     def final_coords(self) -> np.ndarray:
@@ -73,8 +71,6 @@ class FlowResult:
 
     @property
     def final_jacobian(self) -> np.ndarray:
-        if self.jacobians is None:
-            raise ValueError("flow was integrated without the variational equation")
         return self.jacobians[-1]
 
     def point(self, k: int) -> BasePoint:
@@ -205,17 +201,7 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
 
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
-    """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative)."""
-    times, states, _ = integrate_segments(
-        lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for, x0.manifold
-    )
-    return FlowResult(manifold=x0.manifold, times=times, states=states)
-
-
-def flow_with_jacobians(
-    Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> FlowResult:
-    """Flow plus the variational equation; Jacobians stored at every node."""
+    """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative), with its differential."""
     times, states, jacobians, _ = joint_flow(Y, x0, [0.0, T], cfg.steps_for)
     return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
 
@@ -224,7 +210,7 @@ def flow_differential(
     Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Differential of the time-T flow map at x0 (identity at T = 0)."""
-    return flow_with_jacobians(Y, x0, T, cfg).final_jacobian
+    return flow(Y, x0, T, cfg).final_jacobian
 
 
 def pullback_vector(J: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -251,7 +237,7 @@ def transported_field(
     at x0: the forward flow Jacobian is inverted rather than integrating
     a second, backward variational equation.
     """
-    result = flow_with_jacobians(Y, x0, t, cfg)
+    result = flow(Y, x0, t, cfg)
     return pullback_vector(result.final_jacobian, X.at(result.final_coords))
 
 

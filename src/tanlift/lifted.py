@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .controls import ControlSignal, segment_boundaries
-from .errors import AlignmentError, TargetBaseError, UnreachableTargetError
+from .errors import AlignmentError, TargetBaseError
 from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
     FlowResult,
@@ -29,9 +29,10 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
 )
 from .lifts import base_lie_bracket
 from .manifold import BasePoint, DriftControlSystem, TangentPoint
-from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
+from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 _BOUNDARY_RTOL = 1e-9
+_TARGET_BASE_TOL = 1e-6
 
 
 class LiftedSystem(DriftControlSystem):
@@ -44,25 +45,21 @@ class LiftedSystem(DriftControlSystem):
 
 
 @dataclass(frozen=True)
-class TransportOperatorGrid:
+class TransportOperatorGrid(FlowResult):
     """Control-to-fiber transport data at the nodes of one joint flow pass.
 
-    ``transported[k, i]`` is control direction i pulled back to the
-    initial tangent space at node time ``times[k]``; ``columns[k, i]``
+    The node ``times``, ``states`` and ``jacobians`` are those of the
+    flow.  ``transported[k, i]`` is control direction i pulled back to
+    the initial tangent space at node time ``times[k]``; ``columns[k, i]``
     is the same vector pushed forward to the endpoint fiber (the
     integrand of the transport operator).  ``integrals[k, i]`` is the
     Simpson integral of that integrand over segment k, from
-    ``times[k]`` to ``times[k + 1]``.  ``flow`` carries the node states
-    and flow Jacobians of the single integration pass behind all three.
+    ``times[k]`` to ``times[k + 1]``.
     """
 
-    system: LiftedSystem
-    x0: BasePoint
-    times: np.ndarray
     transported: np.ndarray
     columns: np.ndarray
     integrals: np.ndarray
-    flow: FlowResult
 
     @property
     def horizon(self) -> float:
@@ -74,7 +71,7 @@ class TransportOperatorGrid:
 
     @property
     def endpoint_jacobian(self) -> np.ndarray:
-        return self.flow.jacobians[-1]
+        return self.jacobians[-1]
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,13 @@ def _transport_segments(
         Z[k] = np.tensordot(_simpson_weights(end - start, h), pulled[start : end + 1], axes=(0, 0))
     J_T = Js[-1]
     return TransportOperatorGrid(
-        system=sys,
-        x0=x0,
+        manifold=sys.manifold,
         times=times[offsets],
+        states=xs[offsets],
+        jacobians=Js[offsets],
         transported=pulled[offsets],
         columns=np.matmul(J_T, pulled[offsets][..., None])[..., 0],
         integrals=np.matmul(J_T, Z[..., None])[..., 0],
-        flow=FlowResult(sys.manifold, times[offsets], xs[offsets], Js[offsets]),
     )
 
 
@@ -186,7 +183,7 @@ def endpoint_closed_form(
         for k in range(u.segments):
             for i in range(u.channels):
                 fiber = fiber + u.values[k, i] * grid.integrals[k, i]
-    return TangentPoint(grid.flow.final_point, fiber)
+    return TangentPoint(grid.final_point, fiber)
 
 
 def build_transport_grid(
@@ -233,15 +230,15 @@ def apply_LT(grid: TransportOperatorGrid, u: ControlSignal) -> np.ndarray:
     against the linear interpolant of the columns); anything else is an
     alignment error.
     """
-    if u.channels != grid.system.control_dim:
-        raise ValueError(f"control has {u.channels} channels, system expects {grid.system.control_dim}")
+    m, n = grid.columns.shape[1:]
+    if u.channels != m:
+        raise ValueError(f"control has {u.channels} channels, system expects {m}")
     if abs(u.horizon - grid.horizon) > _BOUNDARY_RTOL * max(1.0, grid.horizon):
         raise AlignmentError(
             f"control horizon {u.horizon} does not match grid horizon {grid.horizon}"
         )
     N = grid.grid_segments
     N_u = u.segments
-    n = grid.system.manifold.dim
     out = np.zeros(n)
     if N % N_u == 0:
         span = N // N_u
@@ -359,7 +356,7 @@ def fiber_controllability_report(
     image_basis = span_basis(grid.columns.reshape(-1, dim), tol)
     ad = ad_criterion(sys, v0.base, k_max, tol)
     J_T = grid.endpoint_jacobian
-    anchor = TangentPoint(grid.flow.final_point, J_T @ v0.fiber)
+    anchor = TangentPoint(grid.final_point, J_T @ v0.fiber)
     verdict_transport = s_t_basis.spans_dimension(dim)
     caveat = None
     if not verdict_transport:
@@ -387,9 +384,7 @@ def steer_lifted(
     target: TangentPoint,
     T: float,
     N: int = 64,
-    tol: float = 1e-8,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    base_tol: float = 1e-6,
 ) -> ControlSignal:
     """Piecewise-constant control reaching a target tangent vector at time T.
 
@@ -399,9 +394,9 @@ def steer_lifted(
     transport integrals, giving the minimum-norm N-segment control.
     """
     grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
-    x_T = grid.flow.final_coords
+    x_T = grid.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))
-    if base_err > base_tol:
+    if base_err > _TARGET_BASE_TOL:
         raise TargetBaseError(
             "base trajectory is fixed by the drift: target base "
             f"{target.base.coords.tolist()} is {base_err:.3e} away from the drift endpoint "
@@ -411,12 +406,5 @@ def steer_lifted(
     # rounds M @ alpha differently on a transposed view.
     M = np.ascontiguousarray(grid.integrals.reshape(N * sys.control_dim, -1).T)
     defect = target.fiber - grid.endpoint_jacobian @ v0.fiber
-    alpha, *_ = np.linalg.lstsq(M, defect, rcond=None)
-    residual = float(np.linalg.norm(M @ alpha - defect))
-    if residual > tol * (1.0 + np.linalg.norm(defect)):
-        raise UnreachableTargetError(
-            f"fiber defect is not in the image of the transport operator "
-            f"(residual {residual:.3e})",
-            residual,
-        )
+    alpha = solve_in_span(M, defect, "fiber defect is not in the image of the transport operator")
     return ControlSignal(horizon=T, values=alpha.reshape(N, sys.control_dim))

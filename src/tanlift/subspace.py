@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnreachableTargetError
+
 DEFAULT_RANK_TOL = 1e-8
+_SPAN_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,3 +54,16 @@ def span_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     largest = svals[0] if svals.size else 0.0
     rank = int(np.sum(svals > tol * largest)) if largest > 0.0 else 0
     return SubspaceBasis(vectors=mat, singular_values=svals, rank=rank, tol=tol)
+
+
+def solve_in_span(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``M alpha = rhs``.
+
+    Raises UnreachableTargetError, its message opening with ``what``, when
+    the residual shows that ``rhs`` lies off the range of ``M``.
+    """
+    alpha, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    residual = float(np.linalg.norm(M @ alpha - rhs))
+    if residual > _SPAN_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+        raise UnreachableTargetError(f"{what} (residual {residual:.3e})", residual)
+    return alpha

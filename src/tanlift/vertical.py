@@ -15,10 +15,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .controls import ControlSignal
-from .errors import UnreachableTargetError
 from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
-from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, span_basis
+from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 
 class VerticalAffineSystem(DriftControlSystem):
@@ -135,7 +134,6 @@ def steer_vertical(
     v0: TangentPoint,
     target_fiber: Sequence[float],
     T: float,
-    tol: float = 1e-8,
 ) -> ControlSignal:
     """Constant control reaching a target fiber vector at time T.
 
@@ -150,10 +148,5 @@ def steer_vertical(
     target = np.asarray(target_fiber, dtype=float)
     defect = target - v0.fiber - T * sys.drift.at(x0)
     A = sys.control_matrix(x0)
-    alpha, *_ = np.linalg.lstsq(A, defect, rcond=None)
-    residual = float(np.linalg.norm(A @ alpha - defect))
-    if residual > tol * (1.0 + np.linalg.norm(defect)):
-        raise UnreachableTargetError(
-            f"target fiber is not reachable (residual {residual:.3e})", residual
-        )
+    alpha = solve_in_span(A, defect, "target fiber is not reachable")
     return ControlSignal.constant(alpha / T, horizon=T)

@@ -274,7 +274,7 @@ def test_criterion_10_chain_rule_identity():
     for sys, x0 in cases:
         grid = build_transport_grid(sys, x0, T, 8)
         for k, t in enumerate(grid.times):
-            mid = grid.flow.point(k)
+            mid = grid.point(k)
             remaining = flow_differential(sys.drift, mid, T - t)
             for i, X in enumerate(sys.controls):
                 worst = max(

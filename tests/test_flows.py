@@ -7,10 +7,12 @@ from tanlift import (
     NumericalError,
     StepBudgetError,
     base_lie_bracket,
+    builtin_manifold,
     constant_field,
+    field_from_callable,
+    field_from_expressions,
     flow,
     flow_differential,
-    flow_with_jacobians,
     transported_derivatives,
     transported_field,
 )
@@ -54,6 +56,38 @@ def test_flow_group_law(r2, rng):
         mid = flow(Y, x0, s).final_point
         twice = flow(Y, mid, t).final_coords
         assert np.max(np.abs(once - twice)) <= 1e-8
+
+
+def _base_fields(manifold):
+    return [
+        field_from_expressions(manifold, ["0.3*cos(x2)", "sin(x1) - 0.2*x2"], "T"),
+        field_from_expressions(manifold, ["0.2*pow(x2, 2) - 0.1", "0.5*pow(x1, 3)"], "P"),
+        field_from_callable(
+            manifold,
+            lambda x: np.array([0.2 * np.sin(x[1]), 1.0 - 0.3 * x[0] * x[1]]),
+            jac=lambda x: np.array(
+                [[0.0, 0.2 * np.cos(x[1])], [-0.3 * x[1], -0.3 * x[0]]]
+            ),
+            name="H",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("chart", ["R2", "S2-spherical"])
+def test_flow_states_are_the_plain_base_rk4(chart):
+    # The joint pass carries the differential along without changing a
+    # bit of the base states: the reference integrates Y alone.
+    manifold = builtin_manifold(chart)
+    x0 = manifold.point([0.9, 0.4])
+    cfg = IntegratorConfig(step=1e-2)
+    for Y in _base_fields(manifold):
+        for T in (0.7, -0.4):
+            _, states, _ = integrate_segments(
+                lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for, manifold
+            )
+            res = flow(Y, x0, T, cfg)
+            assert res.jacobians.shape == (len(res.times), 2, 2)
+            assert np.array_equal(res.states, states), (chart, Y.name, T)
 
 
 def test_flow_domain_exit_reports_time(s2):
@@ -119,7 +153,7 @@ def test_flow_differential_constant_field_is_identity(s2):
 
 def test_jacobians_stored_at_every_node(r2, shear_fields):
     Y, _ = shear_fields
-    res = flow_with_jacobians(Y, r2.point([1.0, 0.0]), 1.0)
+    res = flow(Y, r2.point([1.0, 0.0]), 1.0)
     assert res.jacobians.shape == (len(res.times), 2, 2)
     assert np.array_equal(res.jacobians[0], np.eye(2))
     for k in (100, 500, 1000):
@@ -132,7 +166,7 @@ def test_jacobian_chain_rule(r2, rng):
     x0 = r2.point([0.1, 0.3])
     T, t = 1.0, 0.4
     full = flow_differential(Y, x0, T)
-    first = flow_with_jacobians(Y, x0, t)
+    first = flow(Y, x0, t)
     second = flow_differential(Y, first.final_point, T - t)
     assert np.max(np.abs(full - second @ first.final_jacobian)) <= 1e-7
 

@@ -1,14 +1,18 @@
-"""Every import in a package module is used.
+"""Every import in a package module is used, and the package exports what it binds.
 
 No linter is installed, so this walks each module's syntax tree.  A name
 counts as used when it is loaded anywhere in the module, including inside
 a string annotation.  An import statement whose first line carries
 ``# noqa: F401`` is exempt: ``lifted`` keeps ``integrate_fixed`` bound so
-that a tracer can wrap it there.  ``__init__.py`` re-exports by design.
+that a tracer can wrap it there.  ``__init__.py`` re-exports by design, so
+its ``__all__`` must list exactly the public names it binds.
 """
 
 import ast
+import types
 from pathlib import Path
+
+import tanlift
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tanlift"
 
@@ -68,3 +72,13 @@ def test_package_modules_have_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    bound = {
+        name
+        for name, value in vars(tanlift).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(tanlift.__all__) == sorted(set(tanlift.__all__))
+    assert set(tanlift.__all__) == bound

@@ -86,7 +86,7 @@ def test_fast_path_equals_row_by_row_fields(chart, drift, control_coeffs, consta
     fast, slow = (build_transport_grid(S, v0.base, T, 8) for S in (sys, plain))
     for name in ("times", "transported", "columns", "integrals"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-    assert np.array_equal(fast.flow.jacobians, slow.flow.jacobians)
+    assert np.array_equal(fast.jacobians, slow.jacobians)
     u = _control(seed, T, sys.control_dim)
     ends = [endpoint_closed_form(S, v0, u).as_vector() for S in (sys, plain)]
     assert np.array_equal(*ends)
