@@ -25,6 +25,12 @@ _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow":
 # What sympy reduces a division by zero or pow(0, negative) to.
 _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
+# Deepest nesting of parentheses, function calls and unary signs.  At 24
+# levels of `1/sin(x2 + x1/sin(...))`, about four tree levels each, the
+# field and its Jacobian kernel still compile within Python's default
+# recursion limit, with 150 frames to spare.
+_MAX_NESTING = 24
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -58,6 +64,7 @@ class _Parser:
         self.symbols = symbols
         self.tokens = _tokenize(src)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -72,6 +79,15 @@ class _Parser:
         if kind != "op" or text != value:
             raise ExpressionError(f"expected {value!r}", pos)
         return self.advance()
+
+    def nested(self, pos: int, parse):
+        """``parse()`` one level deeper: inside parentheses, a call or a unary sign."""
+        if self.depth == _MAX_NESTING:
+            raise ExpressionError(f"expression nests deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         expr = self.expression()
@@ -103,14 +119,24 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.unary()
+            return -self.nested(pos, self.unary)
         if kind == "op" and text == "+":
             self.advance()
-            return self.unary()
+            return self.nested(pos, self.unary)
         return self.primary()
+
+    def arguments(self) -> list:
+        """The parenthesized, comma-separated arguments of a function call."""
+        self.expect("(")
+        args = [self.expression()]
+        while self.peek()[:2] == ("op", ","):
+            self.advance()
+            args.append(self.expression())
+        self.expect(")")
+        return args
 
     def primary(self):
         kind, text, pos = self.advance()
@@ -120,16 +146,7 @@ class _Parser:
             return sp.Float(text) if ("." in text or "e" in text or "E" in text) else sp.Integer(int(text))
         if kind == "name":
             if text in _FUNCTIONS:
-                self.expect("(")
-                args = [self.expression()]
-                while True:
-                    k, t, p = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.expression())
-                    else:
-                        break
-                self.expect(")")
+                args = self.nested(pos, self.arguments)
                 fn, arity = _FUNCTIONS[text]
                 if len(args) != arity:
                     raise ExpressionError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
@@ -139,7 +156,7 @@ class _Parser:
                 raise ExpressionError(f"unknown variable {text!r} (known: {known})", pos)
             return self.symbols[text]
         if kind == "op" and text == "(":
-            node = self.expression()
+            node = self.nested(pos, self.expression)
             self.expect(")")
             return node
         label = repr(text) if text else "end of input"

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .controls import ControlSignal, segment_boundaries
-from .errors import AlignmentError, TargetBaseError
+from .errors import AlignmentError, NumericalError, TargetBaseError
 from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
     FlowResult,
@@ -126,7 +126,12 @@ def _transport_segments(
     """
     n = sys.manifold.dim
     times, xs, Js, offsets = joint_flow(sys.drift, x0, boundaries, lambda span: _even_substeps(span, cfg))
-    F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
+    finite = np.isfinite(F).all(axis=2)
+    if not finite.all():
+        k, i = np.argwhere(~finite)[0]
+        raise NumericalError(f"control field {sys.controls[i].name!r} is not finite at t = {times[k]:.6g}")
     pulled = pullback_vector(Js[:, None], F[..., None])[..., 0]
     Z = np.empty((len(boundaries) - 1, sys.control_dim, n))
     for k, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):

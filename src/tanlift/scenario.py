@@ -84,8 +84,8 @@ def _object(raw, key: str) -> dict:
 
 def _initial_point(manifold: ChartManifold, block: dict, context: str) -> TangentPoint:
     spec = _object(_require(block, "initial", context), f"{context}.initial")
-    base = _require(spec, "base", f"{context}.initial")
-    fiber = _require(spec, "fiber", f"{context}.initial")
+    base = _row(_require(spec, "base", f"{context}.initial"), f"{context}.initial.base")
+    fiber = _row(_require(spec, "fiber", f"{context}.initial"), f"{context}.initial.fiber")
     try:
         point = manifold.tangent_point(base, fiber)
     except Exception as err:
@@ -95,31 +95,20 @@ def _initial_point(manifold: ChartManifold, block: dict, context: str) -> Tangen
     return point
 
 
-def _horizon(block: dict, context: str) -> float:
-    raw = _require(block, "horizon", context)
-    try:
-        horizon = float(raw)
-    except (TypeError, ValueError):
-        horizon = math.nan
-    if not 0 < horizon < math.inf:
-        raise ScenarioError(f"{context}: horizon must be a finite positive number, got {raw!r}")
-    return horizon
-
-
 def _control(block: dict, horizon: float, channels: int, context: str) -> Optional[ControlSignal]:
     values = block.get("control_values")
     if values is None:
         return None
-    try:
-        arr = np.atleast_2d(np.asarray(values, dtype=float))
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"{context}: control_values must be rows of numbers: {err}") from err
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ScenarioError(f"{context}: control_values must be rows of numbers, got {values!r}")
+    for k, row in enumerate(values):
+        if len(_row(row, f"{context}.control_values[{k}]")) != channels:
+            raise ScenarioError(
+                f"{context}: control rows have {len(row)} entries, system has {channels} controls"
+            )
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{context}: control_values must be rows of finite numbers")
-    if arr.shape[1] != channels:
-        raise ScenarioError(
-            f"{context}: control rows have {arr.shape[1]} entries, system has {channels} controls"
-        )
     return ControlSignal(horizon=horizon, values=arr)
 
 
@@ -132,6 +121,15 @@ def _number(raw, key: str, requirement: str, accept, integer: bool = False):
     if isinstance(raw, bool) or not isinstance(raw, kinds) or not accept(raw):
         raise ScenarioError(f"{key} must be {requirement}, got {raw!r}")
     return raw if integer else float(raw)
+
+
+def _row(raw, key: str) -> list:
+    """A JSON list of numbers, read from the scenario key ``key``."""
+    if not isinstance(raw, (list, tuple)) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
+    ):
+        raise ScenarioError(f"{key} must be a list of numbers, got {raw!r}")
+    return raw
 
 
 def _named_fields(fields: dict, names, context: str, key: str) -> list:
@@ -197,7 +195,8 @@ def load_scenario(source) -> Scenario:
     if "vertical_system" in doc:
         context = "vertical_system"
         block = _object(doc[context], context)
-        horizon = _horizon(block, context)
+        raw = _require(block, "horizon", context)
+        horizon = _number(raw, f"{context}.horizon", "a finite positive number", lambda v: 0 < v < math.inf)
         initial = _initial_point(manifold, block, context)
         if "fiber_dynamics" in block:
             control_dim = block.get("control_dim", 0)
@@ -223,7 +222,8 @@ def load_scenario(source) -> Scenario:
     if "lifted_system" in doc:
         context = "lifted_system"
         block = _object(doc[context], context)
-        horizon = _horizon(block, context)
+        raw = _require(block, "horizon", context)
+        horizon = _number(raw, f"{context}.horizon", "a finite positive number", lambda v: 0 < v < math.inf)
         initial = _initial_point(manifold, block, context)
         drift, controls = _drift_and_controls(fields, block, context)
         system = LiftedSystem(manifold=manifold, drift=drift, controls=controls)
@@ -234,14 +234,19 @@ def load_scenario(source) -> Scenario:
         t0 = spec.get("t0_fraction", defaults.t0_fraction)
         fractions = spec.get("epsilon_fractions", defaults.epsilon_fractions)
         channel = spec.get("channel", defaults.channel)
-        if not isinstance(fractions, (list, tuple)) or not fractions:
-            raise ScenarioError(f"{where}.epsilon_fractions must be a non-empty list, got {fractions!r}")
+        if not isinstance(fractions, (list, tuple)):
+            raise ScenarioError(f"{where}.epsilon_fractions must be a list, got {fractions!r}")
+        epsilons = tuple(
+            _number(e, f"{where}.epsilon_fractions[{i}]", "a number in (0, 1]", lambda v: 0 < v <= 1)
+            for i, e in enumerate(fractions)
+        )
+        if len(set(epsilons)) < 2:
+            raise ScenarioError(
+                f"{where}.epsilon_fractions must hold at least two distinct fractions, got {fractions!r}"
+            )
         bump = BumpStudy(
             t0_fraction=_number(t0, f"{where}.t0_fraction", "a number in [0, 1)", lambda v: 0 <= v < 1),
-            epsilon_fractions=tuple(
-                _number(e, f"{where}.epsilon_fractions[{i}]", "a number in (0, 1]", lambda v: 0 < v <= 1)
-                for i, e in enumerate(fractions)
-            ),
+            epsilon_fractions=epsilons,
             channel=_number(channel, f"{where}.channel", "an integer >= 0", lambda v: v >= 0, True),
         )
         grid, k_max = block.get("grid"), block.get("k_max")

@@ -102,12 +102,24 @@ def test_scenario_rejects_controls_given_as_one_string(capsys, tmp_path):
         (("lifted_system", "bump", "t0_fraction"), "x"),
         (("lifted_system", "bump", "epsilon_fractions"), [0.0]),
         (("lifted_system", "bump", "epsilon_fractions"), [0.5, 1.5]),
+        (("lifted_system", "bump", "epsilon_fractions"), [0.5]),
+        (("lifted_system", "bump", "epsilon_fractions"), [0.125, 0.125]),
+        (("lifted_system", "bump", "epsilon_fractions"), []),
+        (("lifted_system", "horizon"), True),
+        (("lifted_system", "horizon"), "1.5"),
+        (("lifted_system", "initial", "base"), [True, False]),
+        (("lifted_system", "initial", "fiber"), [True, "2"]),
+        (("lifted_system", "control_values"), [["1"]]),
+        (("lifted_system", "control_values"), [[True]]),
     ],
 )
 def test_scenario_numbers_out_of_range_are_input_errors(capsys, tmp_path, path, value):
-    code, out, err = _run_shear_variant(capsys, tmp_path, path, value, "bump-convergence")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_shear_variant(capsys, tmp_path, path, value, "bump-convergence")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {'.'.join(path)}")
+    assert not caught
 
 
 @pytest.mark.parametrize(
@@ -228,6 +240,8 @@ def test_lift_check_stops_at_a_non_finite_lift(capsys, tmp_path):
         ("s2_damping", ("vertical_system", "initial", "fiber"), [0.0, -math.inf], "vertical_system.initial.fiber "),
         ("r2_shear", ("lifted_system", "controls"), [], "lifted_system.controls must name at least one"),
         ("r2_shear", ("name",), math.nan, "name must be a string"),
+        ("r2_shear", ("fields", "X1"), ["(" * 400 + "1" + ")" * 400, "0"], "field 'X1': expression nests deeper"),
+        ("r2_shear", ("fields", "Y"), ["0", "-" * 1500 + "x1"], "field 'Y': expression nests deeper"),
     ],
 )
 def test_malformed_scenario_input_names_its_key(capsys, tmp_path, scenario, path, value, message):
@@ -433,6 +447,19 @@ def test_blow_up_or_singular_field_is_non_finite_state(capsys, tmp_path, drift, 
     assert "numerical failure: non-finite state at t = " in captured.err
     assert "left the chart" not in captured.err
     assert "RuntimeWarning" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["controllability", "reachable", "bump-convergence"])
+def test_singular_control_on_the_drift_trajectory_is_named(capsys, tmp_path, command):
+    # X1 is infinite at the initial base x1 = 1, the first transport row.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_shear_variant(
+            capsys, tmp_path, ("fields", "X1"), ["1/(x1 - 1)", "0"], command
+        )
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: control field 'X1' is not finite at t = 0\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_singular_flow_differential_is_numerical_failure(capsys, tmp_path):

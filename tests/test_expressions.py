@@ -8,7 +8,7 @@ from tanlift import (
     fiber_dynamics_from_expressions,
     field_from_expressions,
 )
-from tanlift.expressions import chart_symbols, parse_expression
+from tanlift.expressions import _MAX_NESTING, chart_symbols, parse_expression
 
 
 def _value(src, **point):
@@ -47,6 +47,34 @@ def test_parse_error_positions():
     with pytest.raises(ExpressionError) as err:
         parse_expression("x1 @ 2", table)
     assert err.value.position == 3
+
+
+def _reciprocal_chain(calls):
+    """``1/sin(x2 + x1/sin(...))`` with ``calls`` nested calls, about four tree levels each."""
+    return "1/sin(x2 + x1/" * (calls - 1) + "sin(x2)" + ")" * (calls - 1)
+
+
+def test_nesting_at_the_limit_compiles_with_its_jacobian(r2):
+    X = field_from_expressions(r2, [_reciprocal_chain(_MAX_NESTING), "x1"], "X")
+    value, jac = X.value_and_jacobian(np.array([0.3, 0.2]))
+    assert np.isfinite(value).all() and np.isfinite(jac).all()
+
+
+@pytest.mark.parametrize(
+    "src, pos",
+    [
+        ("(" * 400 + "x1" + ")" * 400, _MAX_NESTING),
+        ("-" * 1500 + "x1", _MAX_NESTING),
+        ("sin(" * 150 + "x1" + ")" * 150, 4 * _MAX_NESTING),
+        ("-(" * 13 + "x1" + ")" * 13, _MAX_NESTING),
+        (_reciprocal_chain(_MAX_NESTING + 1), 14 * _MAX_NESTING),
+    ],
+)
+def test_nesting_past_the_limit_is_a_parse_error(src, pos):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(src, chart_symbols(2))
+    assert err.value.position == pos
+    assert str(err.value) == f"expression nests deeper than {_MAX_NESTING} levels (at position {pos})"
 
 
 def test_unknown_variable_rejected():
