@@ -9,7 +9,7 @@ and the bump-convergence study.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -123,6 +123,11 @@ def _number(raw, key: str, requirement: str, accept, integer: bool = False):
     return raw if integer else float(raw)
 
 
+def _finite_positive(value) -> bool:
+    """Positive and at most the largest float, so that even a JSON integer converts."""
+    return 0 < value <= sys.float_info.max
+
+
 def _row(raw, key: str) -> list:
     """A JSON list of numbers, read from the scenario key ``key``."""
     if not isinstance(raw, (list, tuple)) or any(
@@ -196,7 +201,7 @@ def load_scenario(source) -> Scenario:
         context = "vertical_system"
         block = _object(doc[context], context)
         raw = _require(block, "horizon", context)
-        horizon = _number(raw, f"{context}.horizon", "a finite positive number", lambda v: 0 < v < math.inf)
+        horizon = _number(raw, f"{context}.horizon", "a finite positive number", _finite_positive)
         initial = _initial_point(manifold, block, context)
         if "fiber_dynamics" in block:
             control_dim = block.get("control_dim", 0)
@@ -223,7 +228,7 @@ def load_scenario(source) -> Scenario:
         context = "lifted_system"
         block = _object(doc[context], context)
         raw = _require(block, "horizon", context)
-        horizon = _number(raw, f"{context}.horizon", "a finite positive number", lambda v: 0 < v < math.inf)
+        horizon = _number(raw, f"{context}.horizon", "a finite positive number", _finite_positive)
         initial = _initial_point(manifold, block, context)
         drift, controls = _drift_and_controls(fields, block, context)
         system = LiftedSystem(manifold=manifold, drift=drift, controls=controls)

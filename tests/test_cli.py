@@ -107,6 +107,7 @@ def test_scenario_rejects_controls_given_as_one_string(capsys, tmp_path):
         (("lifted_system", "bump", "epsilon_fractions"), []),
         (("lifted_system", "horizon"), True),
         (("lifted_system", "horizon"), "1.5"),
+        (("lifted_system", "horizon"), 10**400),
         (("lifted_system", "initial", "base"), [True, False]),
         (("lifted_system", "initial", "fiber"), [True, "2"]),
         (("lifted_system", "control_values"), [["1"]]),
