@@ -38,7 +38,6 @@ from .lifted import (
     ControllabilityReport,
     LiftedSystem,
     TransportOperatorGrid,
-    S_T_span,
     ad_criterion,
     apply_LT,
     build_transport_grid,
@@ -103,7 +102,6 @@ __all__ = [
     "LiftedVectorField",
     "NumericalError",
     "ReachableAffineSet",
-    "S_T_span",
     "Scenario",
     "ScenarioError",
     "StepBudgetError",

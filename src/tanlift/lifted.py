@@ -88,16 +88,14 @@ class AdCriterionResult:
 
 @dataclass(frozen=True)
 class ControllabilityReport:
-    """Full fiberwise-controllability diagnosis of a lifted system."""
+    """Transport diagnosis of a lifted system: reachable set and verdict."""
 
     horizon: float
     grid_segments: int
     anchor: TangentPoint
     s_t_basis: SubspaceBasis
     image_basis: SubspaceBasis
-    ad: AdCriterionResult
     verdict_transport: bool
-    verdict_ad: bool
     cond_flow_differential: float
     caveat: Optional[str] = None
 
@@ -272,27 +270,6 @@ def apply_LT(grid: TransportOperatorGrid, u: ControlSignal) -> np.ndarray:
     )
 
 
-def S_T_span(
-    sys: LiftedSystem,
-    x0: BasePoint,
-    T: float,
-    N: int = 64,
-    tol: float = DEFAULT_RANK_TOL,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> SubspaceBasis:
-    """Span of the transported control directions sampled at the grid nodes.
-
-    The continuum span is sampled at N+1 node times, so the reported
-    rank can only understate the true one; a full-rank answer is
-    therefore reliable while a deficient one is grid-dependent.
-    """
-    if N < sys.manifold.dim:
-        raise ValueError("grid must have at least dim segments to resolve full rank")
-    grid = build_transport_grid(sys, x0, T, N, cfg)
-    vectors = grid.transported.reshape(-1, sys.manifold.dim)
-    return span_basis(vectors, tol)
-
-
 def ad_criterion(
     sys: LiftedSystem,
     x0: BasePoint,
@@ -344,22 +321,21 @@ def fiber_controllability_report(
     v0: TangentPoint,
     T: float,
     N: int = 64,
-    k_max: Optional[int] = None,
     tol: float = DEFAULT_RANK_TOL,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> ControllabilityReport:
-    """Assemble the reachable-set anchor, both rank tests, and verdicts.
+    """Reachable affine subspace of the endpoint fiber and the transport verdict.
 
-    The transport verdict is the necessary-and-sufficient test (rank of
-    the sampled transported directions); the bracket verdict is the
-    sufficient criterion.  The anchor plus the image basis describe the
-    reachable affine subspace of the endpoint fiber.
+    The anchor plus the span of the pushed-forward columns is the
+    reachable set.  The verdict, the necessary-and-sufficient test, is the
+    rank of the transported directions at max(N, dim) + 1 node times; a
+    negative one can be a sampling artefact and carries a caveat.  The
+    sufficient bracket criterion is ``ad_criterion``.
     """
     dim = sys.manifold.dim
     grid = build_transport_grid(sys, v0.base, T, max(N, dim), cfg)
     s_t_basis = span_basis(grid.transported.reshape(-1, dim), tol)
     image_basis = span_basis(grid.columns.reshape(-1, dim), tol)
-    ad = ad_criterion(sys, v0.base, k_max, tol)
     J_T = grid.endpoint_jacobian
     anchor = TangentPoint(grid.final_point, J_T @ v0.fiber)
     verdict_transport = s_t_basis.spans_dimension(dim)
@@ -375,9 +351,7 @@ def fiber_controllability_report(
         anchor=anchor,
         s_t_basis=s_t_basis,
         image_basis=image_basis,
-        ad=ad,
         verdict_transport=verdict_transport,
-        verdict_ad=ad.satisfied,
         cond_flow_differential=float(np.linalg.cond(J_T)),
         caveat=caveat,
     )
@@ -398,6 +372,10 @@ def steer_lifted(
     initial fiber is solved by least squares against the per-segment
     transport integrals, giving the minimum-norm N-segment control.
     """
+    if N < 1:
+        raise ValueError("need at least 1 grid segment")
+    if T <= 0:
+        raise ValueError("horizon must be positive")
     grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
     x_T = grid.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))

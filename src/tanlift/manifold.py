@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartDomainError
+from .errors import ChartDomainError, NumericalError
 
 DEFAULT_DERIV_STEP = 1e-5
 
@@ -139,8 +139,13 @@ class VectorField:
         return point.coords if isinstance(point, BasePoint) else self.manifold.check(point)
 
     def at(self, point) -> np.ndarray:
-        """Evaluate the coefficient vector; the point is domain-checked."""
-        return self.value(self._coords(point))
+        """Coefficient vector at a domain-checked point; a non-finite value is an error."""
+        coords = self._coords(point)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = self.value(coords)
+        if not np.isfinite(value).all():
+            raise NumericalError(f"field {self.name!r} is not finite at x = {coords.tolist()}")
+        return value
 
     def value(self, coords: np.ndarray) -> np.ndarray:
         """Coefficient vector at coordinates the caller has already checked."""

@@ -12,10 +12,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def format_float(x: float) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
+        raise NumericalError(f"cannot serialize non-finite value {x!r}")
     text = format(float(x), ".17g")
     return text
 

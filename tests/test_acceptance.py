@@ -19,6 +19,7 @@ from tanlift import (
     IntegratorConfig,
     LiftedSystem,
     VerticalAffineSystem,
+    ad_criterion,
     base_lie_bracket,
     build_transport_grid,
     complete_lift,
@@ -227,16 +228,17 @@ def test_criterion_08_controllability_verdicts():
     for T in (0.1, 1.0, 5.0):
         rep = fiber_controllability_report(SHEAR, v0_shear, T, N=16)
         shear_ok = shear_ok and rep.verdict_transport
-    rep_shear = fiber_controllability_report(SHEAR, v0_shear, 1.0, N=16)
-    shear_ok = shear_ok and rep_shear.verdict_ad and rep_shear.ad.depth == 1
+    ad_shear = ad_criterion(SHEAR, v0_shear.base)
+    shear_ok = shear_ok and ad_shear.satisfied and ad_shear.depth == 1
 
     v0_s2 = S2.tangent_point([0.8, 0.3], [0.2, -0.1])
     rep_comm = fiber_controllability_report(COMMUTING, v0_s2, 1.0, N=16)
-    comm_ok = rep_comm.verdict_transport and rep_comm.verdict_ad and rep_comm.ad.depth == 0
+    ad_comm = ad_criterion(COMMUTING, v0_s2.base)
+    comm_ok = rep_comm.verdict_transport and ad_comm.satisfied and ad_comm.depth == 0
 
     degenerate = LiftedSystem(S2, S2_Y, (S2_Y,))
     rep_deg = fiber_controllability_report(degenerate, v0_s2, 1.0, N=16)
-    deg_ok = not rep_deg.verdict_transport and not rep_deg.verdict_ad
+    deg_ok = not rep_deg.verdict_transport and not ad_criterion(degenerate, v0_s2.base).satisfied
 
     ok = shear_ok and comm_ok and deg_ok
     _report(

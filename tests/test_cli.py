@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tanlift import ScenarioError, load_scenario
-from tanlift.cli import main
+from tanlift import NumericalError, ScenarioError, load_scenario
+from tanlift.cli import _COMMANDS, main
+from tanlift.reportio import dumps
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -463,6 +464,28 @@ def test_singular_control_on_the_drift_trajectory_is_named(capsys, tmp_path, com
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "scenario, X1, command, field",
+    [
+        ("r2_shear.json", "1/(x1 - 1)", "brackets", "[X1,Y]"),
+        ("s2_vertical.json", "1/(x1 - 0.8)", "controllability", "X1"),
+        ("s2_vertical.json", "1/(x1 - 0.8)", "reachable", "X1"),
+    ],
+)
+def test_field_not_finite_at_the_base_point_is_named(capsys, tmp_path, scenario, X1, command, field):
+    # X1 is infinite at the scenario's initial base, where these commands evaluate it.
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    doc["fields"]["X1"] = [X1, "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    base = doc.get("lifted_system", doc.get("vertical_system"))["initial"]["base"]
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"numerical failure: field {field!r} is not finite at x = {base}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_singular_flow_differential_is_numerical_failure(capsys, tmp_path):
     doc = {
         "schema": "tanlift-scenario-v1",
@@ -518,6 +541,19 @@ def test_missing_scenario_file(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate", "--scenario", "x.json"]) == 2
+
+
+def test_only_package_and_linear_algebra_errors_are_numerical_failures(monkeypatch):
+    # A non-finite report value is a package error; a stray ValueError is a bug, not exit 3.
+    with pytest.raises(NumericalError, match="non-finite value nan"):
+        dumps({"x": math.nan})
+
+    def broken(run):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(_COMMANDS, "brackets", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["brackets", "--scenario", str(SCENARIOS / "r2_shear.json")])
 
 
 def test_runs_are_deterministic(capsys):

@@ -8,7 +8,7 @@ from tanlift import (
     ControlSignal,
     LiftedSystem,
     NumericalError,
-    S_T_span,
+    TangentPoint,
     TargetBaseError,
     UnreachableTargetError,
     ad_criterion,
@@ -288,14 +288,19 @@ def test_apply_LT_alignment_errors(r2, shear_system):
         apply_LT(grid, ControlSignal.constant([1.0], horizon=2.0, segments=64))
 
 
+def _transport_span(sys, x0, T, N):
+    v0 = TangentPoint(x0, np.zeros(sys.manifold.dim))
+    return fiber_controllability_report(sys, v0, T, N=N).s_t_basis
+
+
 def test_S_T_span_shear_full_rank(r2, shear_system):
     for T in (0.1, 1.0, 5.0):
-        basis = S_T_span(shear_system, r2.point([1.0, 0.0]), T, N=8)
+        basis = _transport_span(shear_system, r2.point([1.0, 0.0]), T, N=8)
         assert basis.rank == 2
 
 
 def test_S_T_span_commuting_full_rank(s2, commuting_system):
-    basis = S_T_span(commuting_system, s2.point([0.8, 0.3]), 1.0, N=8)
+    basis = _transport_span(commuting_system, s2.point([0.8, 0.3]), 1.0, N=8)
     assert basis.rank == 2
 
 
@@ -303,13 +308,16 @@ def test_S_T_span_single_invariant_direction(s2, s2_fields):
     _, X1, _ = s2_fields
     Y = constant_field(s2, [0.0, 1.0], "Y")
     sys = LiftedSystem(s2, Y, (X1,))
-    basis = S_T_span(sys, s2.point([0.8, 0.3]), 1.0, N=8)
+    basis = _transport_span(sys, s2.point([0.8, 0.3]), 1.0, N=8)
     assert basis.rank == 1
 
 
 def test_S_T_span_needs_enough_nodes(r2, shear_system):
-    with pytest.raises(ValueError):
-        S_T_span(shear_system, r2.point([1.0, 0.0]), 1.0, N=1)
+    # Too few segments to resolve full rank: the report samples dim of them.
+    v0 = r2.tangent_point([1.0, 0.0], [0.0, 0.0])
+    report = fiber_controllability_report(shear_system, v0, 1.0, N=1)
+    assert report.grid_segments == 2
+    assert report.s_t_basis.rank == 2
 
 
 def test_S_T_rank_monotone_in_horizon(r2, rng):
@@ -317,7 +325,7 @@ def test_S_T_rank_monotone_in_horizon(r2, rng):
     X1 = random_smooth_field(r2, rng, "X1")
     sys = LiftedSystem(r2, Y, (X1,))
     x0 = r2.point([0.1, 0.2])
-    ranks = [S_T_span(sys, x0, T, N=8).rank for T in (0.25, 0.5, 1.0)]
+    ranks = [_transport_span(sys, x0, T, N=8).rank for T in (0.25, 0.5, 1.0)]
     assert ranks == sorted(ranks)
 
 
@@ -350,17 +358,19 @@ def test_controllability_report_shear(r2, shear_system):
     for T in (0.1, 1.0, 5.0):
         report = fiber_controllability_report(shear_system, v0, T, N=16)
         assert report.verdict_transport
-        assert report.verdict_ad
-        assert report.ad.depth == 1
         assert report.caveat is None
+    ad = ad_criterion(shear_system, v0.base)
+    assert ad.satisfied
+    assert ad.depth == 1
 
 
 def test_controllability_report_commuting(s2, commuting_system):
     v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
     report = fiber_controllability_report(commuting_system, v0, 1.0, N=16)
     assert report.verdict_transport
-    assert report.verdict_ad
-    assert report.ad.depth == 0
+    ad = ad_criterion(commuting_system, v0.base)
+    assert ad.satisfied
+    assert ad.depth == 0
     assert np.max(np.abs(report.anchor.base.coords - [0.8, 1.3])) < 1e-10
     assert np.max(np.abs(report.anchor.fiber - v0.fiber)) < 1e-10
 
@@ -371,7 +381,7 @@ def test_controllability_report_degenerate(s2):
     v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
     report = fiber_controllability_report(sys, v0, 1.0, N=16)
     assert not report.verdict_transport
-    assert not report.verdict_ad
+    assert not ad_criterion(sys, v0.base).satisfied
     assert report.caveat is not None and "grid-sampled" in report.caveat
 
 
@@ -398,7 +408,7 @@ def test_ad_criterion_implies_transport_verdict(r2, s2, shear_system, commuting_
     for sys, v0 in cases:
         for T in (0.5, 1.0, 2.0):
             report = fiber_controllability_report(sys, v0, T, N=16)
-            if report.verdict_ad:
+            if ad_criterion(sys, v0.base).satisfied:
                 assert report.verdict_transport
 
 
@@ -427,6 +437,17 @@ def test_steer_rejects_wrong_base(r2, shear_system):
     bad_target = r2.tangent_point([2.0, 2.0], [0.0, 0.0])
     with pytest.raises(TargetBaseError, match="fixed by the drift"):
         steer_lifted(shear_system, v0, bad_target, 1.0, N=8)
+
+
+@pytest.mark.parametrize(
+    "T, N, message",
+    [(1.0, 0, "at least 1 grid segment"), (1.0, -2, "at least 1 grid segment"), (-1.0, 8, "horizon")],
+)
+def test_steer_rejects_empty_grid_or_horizon(r2, shear_system, T, N, message):
+    v0 = r2.tangent_point([1.0, 0.0], [0.0, 1.0])
+    target = r2.tangent_point([1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=message):
+        steer_lifted(shear_system, v0, target, T, N=N)
 
 
 def test_steer_zero_defect_gives_zero_control(r2, shear_system):
