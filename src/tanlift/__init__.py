@@ -30,7 +30,6 @@ from .flows import (
     TangentTrajectory,
     flow,
     flow_differential,
-    transported_derivatives,
     transported_field,
 )
 from .lifted import (
@@ -45,6 +44,7 @@ from .lifted import (
     fiber_controllability_report,
     simulate_lifted_ode,
     steer_lifted,
+    transported_derivatives,
 )
 from .lifts import (
     FunctionLift,

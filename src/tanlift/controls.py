@@ -23,8 +23,8 @@ class ControlSignal:
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
-        if self.horizon <= 0:
-            raise ValueError("control horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"control horizon must be positive and finite, got {self.horizon}")
         if vals.shape[0] < 1:
             raise ValueError("control needs at least one segment")
         if not np.all(np.isfinite(vals)):

@@ -16,8 +16,7 @@ import numpy as np
 
 from .controls import segment_boundaries
 from .errors import ChartDomainError, DomainExitError, NumericalError, StepBudgetError
-from .lifts import base_lie_bracket
-from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
+from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint, VectorField
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,8 @@ class IntegratorConfig:
             raise ValueError("max_steps must be >= 1")
 
     def steps_for(self, span: float) -> int:
+        if not math.isfinite(span):
+            raise ValueError(f"horizon {span} is not finite")
         if span == 0.0:
             return 0
         n = max(1, math.ceil(abs(span) / self.step))
@@ -172,8 +173,10 @@ def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
     """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
 
     Returns (times, states, jacobians, offsets) as ``integrate_segments`` does.
+    Y is evaluated at x0 first, so a field that is not finite there is named.
     """
     n = x0.manifold.dim
+    Y.at(x0)
 
     def rhs(t, z):
         value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
@@ -185,9 +188,16 @@ def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
 
 
 def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
-    """RK4 of dv/dt = ``sys.velocity(v, u)`` on TM, one constant input per step."""
+    """RK4 of dv/dt = ``sys.velocity(v, u)`` on TM, one constant input per step.
+
+    The drift and controls of a ``DriftControlSystem`` are evaluated at the
+    initial base first, so a field that is not finite there is named.
+    """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
     n = sys.manifold.dim
+    if isinstance(sys, DriftControlSystem):
+        for X in (sys.drift, *sys.controls):
+            X.at(v0.base)
 
     def rhs_for(k):
         u_seg = u.values[k] if u is not None else None
@@ -241,29 +251,3 @@ def transported_field(
     result = flow(Y, x0, t, cfg)
     return pullback_vector(result.final_jacobian, X.at(result.final_coords))
 
-
-def transported_derivatives(
-    Y: VectorField, X: VectorField, x0: BasePoint, k_max: int
-) -> list:
-    """Iterated-bracket directions ad_Y^k X(x0), k = 0..k_max.
-
-    The bracket here is [A, B] = J_A B - J_B A, the opposite sign of
-    ``base_lie_bracket``, so entry k is (-1)^k B_k(x0), where B_0 = X and
-    B_k = ``base_lie_bracket(Y, B_{k-1})``.  The k-th t-derivative of
-    ``transported_field`` at t = 0 is B_k(x0), that is (-1)^k times entry k.
-
-    Entry 0 is X(x0).  Computed by exact bracket recursion on the base
-    fields (symbolic when both carry expressions, otherwise via their
-    Jacobians), never by differentiating the transport curve; depth is
-    capped at 6 for fields that would need nested finite differences.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    if k_max > 6 and (Y.sym is None or X.sym is None):
-        raise ValueError("bracket depth > 6 needs fields with symbolic coefficients")
-    out = [X.at(x0)]
-    B = X
-    for k in range(1, k_max + 1):
-        B = base_lie_bracket(Y, B)
-        out.append(((-1.0) ** k) * B.at(x0))
-    return out

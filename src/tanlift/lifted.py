@@ -28,7 +28,7 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
     simulate_bundle,
 )
 from .lifts import base_lie_bracket
-from .manifold import BasePoint, DriftControlSystem, TangentPoint
+from .manifold import BasePoint, DriftControlSystem, TangentPoint, VectorField
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 _BOUNDARY_RTOL = 1e-9
@@ -203,8 +203,8 @@ def build_transport_grid(
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     return _transport_segments(sys, x0, np.linspace(0.0, T, N + 1), cfg)
 
 
@@ -270,6 +270,39 @@ def apply_LT(grid: TransportOperatorGrid, u: ControlSignal) -> np.ndarray:
     )
 
 
+def _bracket_tower(Y: VectorField, fields, k_max: int):
+    """Yield the brackets [B_k for each field] at depth k = 0..k_max.
+
+    B_0 is the field and B_k = ``base_lie_bracket(Y, B_{k-1})``: exact
+    when every operand carries symbolic coefficients, otherwise nested
+    finite differences, which cap the depth at 6.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if k_max > 6 and any(F.sym is None for F in (Y, *fields)):
+        raise ValueError("bracket depth > 6 needs fields with symbolic coefficients")
+    current = list(fields)
+    yield current
+    for _ in range(k_max):
+        current = [base_lie_bracket(Y, B) for B in current]
+        yield current
+
+
+def transported_derivatives(
+    Y: VectorField, X: VectorField, x0: BasePoint, k_max: int
+) -> list:
+    """Iterated-bracket directions ad_Y^k X(x0), k = 0..k_max.
+
+    The bracket here is [A, B] = J_A B - J_B A, the opposite sign of
+    ``base_lie_bracket``, so entry k is (-1)^k B_k(x0), where B_0 = X and
+    B_k = ``base_lie_bracket(Y, B_{k-1})``.  The k-th t-derivative of
+    ``transported_field`` at t = 0 is B_k(x0), that is (-1)^k times entry k.
+    Computed by bracket recursion on the base fields, never by
+    differentiating the transport curve.
+    """
+    return [((-1.0) ** k) * B.at(x0) for k, (B,) in enumerate(_bracket_tower(Y, [X], k_max))]
+
+
 def ad_criterion(
     sys: LiftedSystem,
     x0: BasePoint,
@@ -286,16 +319,11 @@ def ad_criterion(
     dim = sys.manifold.dim
     if k_max is None:
         k_max = 2 * dim
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
     vectors = []
     ranks = []
-    current = list(sys.controls)
     k_used = 0
     saturated = False
-    for k in range(k_max + 1):
-        if k > 0:
-            current = [base_lie_bracket(sys.drift, B) for B in current]
+    for k, current in enumerate(_bracket_tower(sys.drift, sys.controls, k_max)):
         vectors.extend(B.at(x0) for B in current)
         basis = span_basis(vectors, tol)
         ranks.append(basis.rank)
@@ -374,8 +402,8 @@ def steer_lifted(
     """
     if N < 1:
         raise ValueError("need at least 1 grid segment")
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
     x_T = grid.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))

@@ -26,24 +26,30 @@ def _as_vector(values, dim: int, label: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartManifold:
     """A single coordinate chart of dimension ``dim``.
 
-    ``in_domain`` is a predicate on raw coordinate vectors; every
-    evaluation of a point or field on this chart checks it first.
-    ``sample_bounds`` is an optional (low, high) coordinate box used by
-    seeded random sampling in tests and the CLI identity battery.
+    ``bounds`` is the open box (lower, upper) of the domain, stored as two
+    length-``dim`` arrays; every point or field evaluation checks it first,
+    and NaN or +-inf fail it.  ``sample_bounds`` is an optional (low, high)
+    box for seeded random sampling.  A chart equals only itself.
     """
 
     dim: int
     name: str
-    in_domain: Callable[[np.ndarray], bool] = field(repr=False, default=lambda x: True)
+    bounds: tuple = field(repr=False, default=(-np.inf, np.inf))
     sample_bounds: Optional[tuple] = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("manifold dimension must be >= 1")
+        object.__setattr__(self, "bounds", tuple(np.full(self.dim, b, dtype=float) for b in self.bounds))
+
+    def in_domain(self, rows) -> np.ndarray:
+        """Per row of a (..., dim) coordinate array: does it lie in the open box?"""
+        lower, upper = self.bounds
+        return ((lower < rows) & (rows < upper)).all(axis=-1)
 
     def check(self, coords) -> np.ndarray:
         """Validate a raw coordinate vector against the chart domain."""
@@ -291,19 +297,13 @@ def builtin_manifold(identifier: str) -> ChartManifold:
         return ChartManifold(
             dim=2,
             name="R2",
-            in_domain=lambda x: bool(np.all(np.isfinite(x))),
             sample_bounds=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
         )
     if identifier == "S2-spherical":
-        def in_chart(x):
-            return bool(
-                np.all(np.isfinite(x)) and _S2_MARGIN < x[0] < np.pi - _S2_MARGIN
-            )
-
         return ChartManifold(
             dim=2,
             name="S2-spherical",
-            in_domain=in_chart,
+            bounds=([_S2_MARGIN, -np.inf], [np.pi - _S2_MARGIN, np.inf]),
             sample_bounds=(np.array([0.2, -np.pi]), np.array([np.pi - 0.2, np.pi])),
         )
     raise ValueError(f"unknown manifold identifier {identifier!r}")

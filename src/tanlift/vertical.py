@@ -111,8 +111,8 @@ def reachable_vertical(
     sys: VerticalAffineSystem, v0: TangentPoint, T: float, tol: float = DEFAULT_RANK_TOL
 ) -> ReachableAffineSet:
     """Reachable set at time T: drift-translated anchor plus control span."""
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     x0 = v0.base
     anchor = TangentPoint(x0, v0.fiber + T * sys.drift.at(x0))
     basis = span_basis([X.at(x0) for X in sys.controls], tol)
@@ -142,8 +142,8 @@ def steer_vertical(
     integral alpha_i uniformly, u_i = alpha_i / T.  Raises when the
     residual shows the target lies off the reachable affine subspace.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     x0 = v0.base
     target = np.asarray(target_fiber, dtype=float)
     defect = target - v0.fiber - T * sys.drift.at(x0)

@@ -427,7 +427,7 @@ def test_non_finite_state_is_numerical_failure(capsys, tmp_path):
     [
         # x1' = x1^2 from x1 = 1 blows up at t = 1.
         (["x1*x1", "0"], [1.0, 0.0]),
-        # 1/x1 is infinite at the initial point itself.
+        # 1/x1 is infinite at the initial point itself, where simulate names it.
         (["1/x1", "0"], [0.0, 0.0]),
     ],
 )
@@ -446,7 +446,10 @@ def test_blow_up_or_singular_field_is_non_finite_state(capsys, tmp_path, drift, 
     code = main(["simulate", "--scenario", write_scenario(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "numerical failure: non-finite state at t = " in captured.err
+    if drift == ["1/x1", "0"]:
+        assert captured.err == f"numerical failure: field 'Y' is not finite at x = {base}\n"
+    else:
+        assert "numerical failure: non-finite state at t = " in captured.err
     assert "left the chart" not in captured.err
     assert "RuntimeWarning" not in captured.err
 
@@ -470,6 +473,8 @@ def test_singular_control_on_the_drift_trajectory_is_named(capsys, tmp_path, com
         ("r2_shear.json", "1/(x1 - 1)", "brackets", "[X1,Y]"),
         ("s2_vertical.json", "1/(x1 - 0.8)", "controllability", "X1"),
         ("s2_vertical.json", "1/(x1 - 0.8)", "reachable", "X1"),
+        ("s2_vertical.json", "1/(x1 - 0.8)", "simulate", "X1"),
+        ("s2_lifted.json", "1/(x1 - 0.8)", "simulate", "X1"),
     ],
 )
 def test_field_not_finite_at_the_base_point_is_named(capsys, tmp_path, scenario, X1, command, field):
@@ -483,6 +488,20 @@ def test_field_not_finite_at_the_base_point_is_named(capsys, tmp_path, scenario,
     base = doc.get("lifted_system", doc.get("vertical_system"))["initial"]["base"]
     assert (code, captured.out) == (3, "")
     assert captured.err == f"numerical failure: field {field!r} is not finite at x = {base}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "controllability", "reachable", "bump-convergence"])
+def test_drift_not_finite_at_the_initial_base_is_named(capsys, tmp_path, command):
+    # Y is infinite at the initial base x1 = 0.8, before the first RK4 step.
+    doc = json.loads((SCENARIOS / "s2_lifted.json").read_text())
+    doc["fields"]["Y"] = ["0", "1/(x1 - 0.8)"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "numerical failure: field 'Y' is not finite at x = [0.8, 0.3]\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -1,21 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tanlift import (
+    ChartManifold,
+    ControlSignal,
     DomainExitError,
     IntegratorConfig,
+    LiftedSystem,
     NumericalError,
     StepBudgetError,
+    VerticalAffineSystem,
     base_lie_bracket,
+    build_transport_grid,
     builtin_manifold,
     constant_field,
     field_from_callable,
     field_from_expressions,
     flow,
     flow_differential,
+    reachable_vertical,
+    simulate_lifted_ode,
+    simulate_vertical_ode,
+    steer_lifted,
+    steer_vertical,
     transported_derivatives,
     transported_field,
 )
+from tanlift import flows
 from tanlift.flows import integrate_segments, pullback_vector
 
 from conftest import random_smooth_field
@@ -278,3 +291,69 @@ def test_pullback_vector_solves_a_stack_like_each_matrix():
     J[3, 0] = 0.0
     with pytest.raises(NumericalError, match=r"^flow differential is numerically singular \(cond = inf\)$"):
         pullback_vector(J, F)
+
+
+def test_chart_checks_per_rk4_step(monkeypatch, s2, s2_fields):
+    """Each RK4 stage checks the chart once, and nothing else on these paths does."""
+    X0, X1, X2 = s2_fields
+    lifted = LiftedSystem(s2, X0, (X1, X2))
+    vertical = VerticalAffineSystem(s2, X0, (X1, X2))
+    x0 = s2.point([0.8, 0.3])
+    v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
+    u = ControlSignal.constant([0.4, -0.6], horizon=0.05)
+    counts = {"check": 0, "step": 0}
+    check, rk4_step = ChartManifold.check, flows._rk4_step
+
+    def counted_check(self, coords):
+        counts["check"] += 1
+        return check(self, coords)
+
+    def counted_step(*args):
+        counts["step"] += 1
+        return rk4_step(*args)
+
+    monkeypatch.setattr(ChartManifold, "check", counted_check)
+    monkeypatch.setattr(flows, "_rk4_step", counted_step)
+    runs = {
+        "flow": lambda: flow(X0, x0, 0.05),
+        "simulate_lifted_ode": lambda: simulate_lifted_ode(lifted, v0, u),
+        "simulate_vertical_ode": lambda: simulate_vertical_ode(vertical, v0, u),
+        # 4 segments of 0.0125, each in an even 14 steps.
+        "build_transport_grid": lambda: build_transport_grid(lifted, x0, 0.05, 4),
+    }
+    measured = {}
+    for name, run in runs.items():
+        counts.update(check=0, step=0)
+        run()
+        measured[name] = (counts["check"], counts["step"])
+    assert measured == {
+        "flow": (200, 50),
+        "simulate_lifted_ode": (200, 50),
+        "simulate_vertical_ode": (200, 50),
+        "build_transport_grid": (224, 56),
+    }
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_non_finite_horizons_are_rejected(s2, T):
+    Y = constant_field(s2, [0.0, 1.0], "Y")
+    X = constant_field(s2, [1.0, 0.0], "X1")
+    lifted = LiftedSystem(s2, Y, (X,))
+    vertical = VerticalAffineSystem(s2, Y, (X,))
+    x0 = s2.point([0.8, 0.3])
+    v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
+    calls = [
+        lambda: IntegratorConfig().steps_for(T),
+        lambda: flow(Y, x0, T),
+        lambda: simulate_lifted_ode(lifted, v0, None, horizon=T),
+        lambda: build_transport_grid(lifted, x0, T, 4),
+        lambda: steer_lifted(lifted, v0, v0, T),
+        lambda: reachable_vertical(vertical, v0, T),
+        lambda: steer_vertical(vertical, v0, [0.0, 0.0], T),
+        lambda: ControlSignal(horizon=T, values=[[1.0]]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"horizon.*{T}"):
+                call()

@@ -18,10 +18,12 @@ from tanlift import (
     constant_field,
     endpoint_closed_form,
     fiber_controllability_report,
+    field_from_callable,
     field_from_expressions,
     flow_differential,
     simulate_lifted_ode,
     steer_lifted,
+    transported_derivatives,
     transported_field,
 )
 
@@ -351,6 +353,19 @@ def test_ad_criterion_degenerate_control_equals_drift(s2):
     assert not result.satisfied
     assert result.basis.rank == 1
     assert result.saturated
+
+
+def test_ad_criterion_depth_guard(r2, shear_system):
+    # The same rule as transported_derivatives: depth > 6 needs symbolic fields.
+    Y = field_from_callable(r2, lambda x: np.array([0.0, x[0]]), name="Y")
+    X = field_from_callable(r2, lambda x: np.array([1.0, 0.0]), name="X1")
+    x0 = r2.point([1.0, 0.0])
+    message = r"^bracket depth > 6 needs fields with symbolic coefficients$"
+    with pytest.raises(ValueError, match=message):
+        ad_criterion(LiftedSystem(r2, Y, (X,)), x0, 7)
+    with pytest.raises(ValueError, match=message):
+        transported_derivatives(Y, X, x0, 7)
+    assert ad_criterion(shear_system, x0, 7).satisfied
 
 
 def test_controllability_report_shear(r2, shear_system):

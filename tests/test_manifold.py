@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tanlift import (
     ChartDomainError,
@@ -170,6 +175,51 @@ def test_builtin_manifolds():
     assert not s2.in_domain(np.array([0.005, 0.0]))
     with pytest.raises(ValueError):
         builtin_manifold("T2")
+
+
+# The predicates that defined the built-in domains before they became
+# boxes, applied one row at a time as the reference for the row mask.
+REFERENCE_DOMAINS = {
+    "R2": lambda x: bool(np.all(np.isfinite(x))),
+    "S2-spherical": lambda x: bool(np.all(np.isfinite(x)) and 0.01 < x[0] < np.pi - 0.01),
+}
+coordinate = (
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.01, np.pi - 0.01, 0.0, np.pi])
+    | st.floats(-1.0, 4.0)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+row_shapes = st.lists(st.integers(0, 4), max_size=2).map(lambda shape: (*shape, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(REFERENCE_DOMAINS)), rows=arrays(float, row_shapes, elements=coordinate))
+def test_in_domain_is_the_old_predicate_on_every_row(name, rows):
+    mask = builtin_manifold(name).in_domain(rows)
+    assert mask.shape == rows.shape[:-1] and mask.dtype == bool
+    expected = [REFERENCE_DOMAINS[name](x) for x in rows.reshape(-1, 2)]
+    assert mask.reshape(-1).tolist() == expected
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DOMAINS))
+def test_sample_box_lies_strictly_inside_the_domain(name):
+    chart = builtin_manifold(name)
+    low, high = chart.sample_box()
+    assert chart.in_domain(np.stack([low, high])).all()
+
+
+def test_chart_domain_is_data():
+    assert [f.name for f in dataclasses.fields(ChartManifold)] == ["dim", "name", "bounds", "sample_bounds"]
+    r2, s2 = builtin_manifold("R2"), builtin_manifold("S2-spherical")
+    # A chart is compared by identity, so its array bounds never make == raise.
+    assert r2 == r2 and r2 != s2 and r2 != builtin_manifold("R2") and hash(r2) != hash(s2)
+
+
+def test_default_chart_domain_is_every_finite_point():
+    r3 = ChartManifold(dim=3, name="R3")
+    assert r3.in_domain(np.array([1e300, -1e300, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ChartDomainError, match="outside the domain of chart 'R3'"):
+            r3.check([0.0, bad, 1.0])
 
 
 def test_field_output_length_checked(r2):
