@@ -23,8 +23,7 @@ class ControlSignal:
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
-        if not 0 < self.horizon < np.inf:
-            raise ValueError(f"control horizon must be positive and finite, got {self.horizon}")
+        _check_horizon(self.horizon)
         if vals.shape[0] < 1:
             raise ValueError("control needs at least one segment")
         if not np.all(np.isfinite(vals)):
@@ -75,11 +74,17 @@ class ControlSignal:
         return cls(horizon=horizon, values=values)
 
 
+def _check_horizon(horizon) -> None:
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"control horizon must be positive and finite, got {horizon}")
+
+
 def segment_boundaries(u: Optional[ControlSignal], horizon: Optional[float], channels: int):
     """Boundaries of the segments of u, or [0, horizon] when there is no control."""
     if u is None:
         if horizon is None:
             raise ValueError("need a control signal or an explicit horizon")
+        _check_horizon(horizon)
         return np.array([0.0, horizon])
     if u.channels != channels:
         raise ValueError(f"control has {u.channels} channels, system expects {channels}")

@@ -9,6 +9,7 @@ flow into the initial tangent space) come from one linear solve per node.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,16 +130,14 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
     return times, states
 
 
-def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: ChartManifold):
+def rk4_segments(rhs_for, z0: np.ndarray, boundaries, steps):
     """RK4 over consecutive segments [boundaries[k], boundaries[k + 1]].
 
     ``rhs_for(k)`` is the right-hand side on segment k and ``steps(span)``
     its step count, so no step crosses a boundary.  Returns (times, rows,
     offsets): each node once, segment k spanning rows offsets[k] through
-    offsets[k + 1].  The leading ``manifold.dim`` entries of a row are base
-    coordinates; every base row but the last was domain-checked as the
-    first stage of the next step, so only the last is checked here.  A
-    non-finite row raises NumericalError naming its time.
+    offsets[k + 1].  The rows are not checked; ``integrate_segments`` is
+    the checked form.
     """
     times = [np.asarray(boundaries[:1], dtype=float)]
     rows = [z0[None, :]]
@@ -153,20 +152,38 @@ def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: Cha
             rows.append(seg_rows[1:])
             offsets.append(offsets[-1] + n_steps)
             z0 = seg_rows[-1]
-    times = np.concatenate(times)
-    rows = np.concatenate(rows, axis=0)
-    finite = np.isfinite(rows).all(axis=1)
+    return np.concatenate(times), np.concatenate(rows, axis=0), offsets
+
+
+def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: ChartManifold):
+    """``rk4_segments`` over rows whose leading ``manifold.dim`` entries are base coordinates.
+
+    The rows pass ``check_trajectory`` before they are returned.
+    """
+    times, rows, offsets = rk4_segments(rhs_for, z0, boundaries, steps)
+    check_trajectory(manifold, times, rows[:, : manifold.dim], rows[:, manifold.dim :])
+    return times, rows, offsets
+
+
+def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarray, others: np.ndarray) -> None:
+    """Reject a trajectory with a non-finite row or a final base outside the chart.
+
+    Row k of ``bases`` and of ``others`` (the rest of the state) is the
+    node at ``times[k]``.  A non-finite row raises NumericalError naming
+    its time.  Every base row but the last was domain-checked as the first
+    stage of the next step, or equals a checked point, so only the last is
+    checked here.
+    """
+    finite = np.isfinite(bases).all(axis=1) & np.isfinite(others).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalError(f"non-finite state at t = {times[k]:.6g}")
-    final = rows[-1, : manifold.dim]
-    if not manifold.in_domain(final):
+    if not manifold.in_domain(bases[-1]):
         raise DomainExitError(
             f"trajectory left chart '{manifold.name}' at t = {times[-1]:.6g}",
-            coords=final,
+            coords=bases[-1],
             time=float(times[-1]),
         )
-    return times, rows, offsets
 
 
 def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
@@ -190,25 +207,49 @@ def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
 def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
     """RK4 of dv/dt = ``sys.velocity(v, u)`` on TM, one constant input per step.
 
-    The drift and controls of a ``DriftControlSystem`` are evaluated at the
-    initial base first, so a field that is not finite there is named.
+    The base velocity never depends on the fiber and RK4 treats every
+    coordinate alike, so the base is integrated first and the fiber after
+    it, with the values of RK4 on the whole bundle bit for bit.
+    ``sys.base_pass(x0, boundaries, steps, u)`` returns the base rows, or
+    None for a base that does not move, and ``rhs_for(k)``: the fiber
+    right-hand side on segment k, called once per RK4 stage in order.  A
+    base that does not move has rows x0, x0 + 0.0, ...: RK4 adds a zero
+    velocity, which turns a -0.0 coordinate into +0.0.  The drift and
+    controls of a ``DriftControlSystem`` are evaluated at the initial base
+    first, so a field that is not finite there is named.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
-    n = sys.manifold.dim
+    x0 = v0.base
     if isinstance(sys, DriftControlSystem):
         for X in (sys.drift, *sys.controls):
-            X.at(v0.base)
+            X.at(x0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bases, rhs_for = sys.base_pass(x0, boundaries, cfg.steps_for, u)
+        times, fibers, _ = rk4_segments(rhs_for, v0.fiber, boundaries, cfg.steps_for)
+    if bases is None:
+        bases = np.vstack([x0.coords, np.broadcast_to(x0.coords + 0.0, (len(times) - 1, x0.dim))])
+    check_trajectory(sys.manifold, times, bases, fibers)
+    return TangentTrajectory(manifold=sys.manifold, times=times, bases=bases, fibers=fibers)
+
+
+def still_base_pass(x0: BasePoint, u, rhs_at):
+    """``base_pass`` of a system whose base does not move.
+
+    ``rhs_at(x, u_k)`` is the fiber right-hand side over base x under the
+    input u_k of one segment.  The first stage is at x0 and every later
+    one at x0 + 0.0, as in RK4 of the whole bundle.
+    """
+    moved = x0.coords + 0.0
 
     def rhs_for(k):
-        u_seg = u.values[k] if u is not None else None
-        return lambda t, z: sys.velocity(z, u_seg)
+        u_k = None if u is None else u.values[k]
+        rhs = rhs_at(moved, u_k)
+        if k:
+            return rhs
+        first, stages = rhs_at(x0.coords, u_k), itertools.count()
+        return lambda t, y: (rhs if next(stages) else first)(t, y)
 
-    times, rows, _ = integrate_segments(
-        rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold
-    )
-    return TangentTrajectory(
-        manifold=sys.manifold, times=times, bases=rows[:, :n], fibers=rows[:, n:]
-    )
+    return None, rhs_for
 
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:

@@ -10,6 +10,7 @@ with an iterated-bracket sufficient criterion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
     integrate_fixed,
     joint_flow,
     pullback_vector,
+    rk4_segments,
     simulate_bundle,
 )
 from .lifts import base_lie_bracket
@@ -42,6 +44,41 @@ class LiftedSystem(DriftControlSystem):
         """The complete lift Y^c = (Y(x), J_Y(x) y)."""
         value, jac = self.drift.value_and_jacobian(x)
         return np.concatenate([value, jac @ y])
+
+    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+        """Base rows of the drift flow from x0, and the fiber right-hand sides.
+
+        Each base stage is checked once and records its point and the
+        drift Jacobian J there.  The controls are then evaluated once over
+        all stage points, and the fiber right-hand side at stage s is
+        J_s y + sum_i u_i Xi(x_s), added up in the order of ``velocity``.
+        """
+        points, jacobians = [], []
+
+        def base_rhs(t, x):
+            x = self.manifold.check(x)
+            value, jac = self.drift.value_and_jacobian(x)
+            points.append(x)
+            jacobians.append(jac)
+            return value
+
+        _, bases, offsets = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, steps)
+        stages = itertools.count()
+        if u is None:
+            return bases, lambda k: lambda t, y: jacobians[next(stages)] @ y
+        # Each RK4 step has four stages, all under the input of its segment.
+        inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
+        points = np.array(points)
+        terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
+
+        def fiber_rhs(t, y):
+            s = next(stages)
+            v = jacobians[s] @ y
+            for term in terms[s]:
+                v += term
+            return v
+
+        return bases, lambda k: fiber_rhs
 
 
 @dataclass(frozen=True)

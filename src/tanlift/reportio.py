@@ -8,6 +8,7 @@ runs with the same inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Iterable
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import NumericalError
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise NumericalError(f"cannot serialize non-finite value {x!r}")
     text = format(float(x), ".17g")
     return text
@@ -74,5 +75,5 @@ def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable[fl
 
 
 def trajectory_rows(times, bases, fibers):
-    for t, x, y in zip(times, bases, fibers):
-        yield [float(t), *map(float, x), *map(float, y)]
+    """One row (t, x..., y...) of Python floats per node."""
+    yield from np.column_stack([times, bases, fibers]).tolist()

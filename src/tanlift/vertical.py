@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .controls import ControlSignal
-from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle
+from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle, still_base_pass
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
@@ -31,6 +31,18 @@ class VerticalAffineSystem(DriftControlSystem):
         """The vertical lift X0^v = (0, X0(x))."""
         return np.concatenate([np.zeros(self.manifold.dim), self.drift.value(x)])
 
+    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+        """The base does not move; the fiber velocity is one constant per base point and segment."""
+
+        def rhs_at(x, u_k):
+            v = np.array(self.drift.value(x))
+            if u_k is not None:
+                for ui, X in zip(u_k, self.controls):
+                    v += ui * X.value(x)
+            return lambda t, y: v
+
+        return still_base_pass(x0, u, rhs_at)
+
 
 @dataclass(frozen=True)
 class GeneralVerticalSystem:
@@ -44,6 +56,12 @@ class GeneralVerticalSystem:
         """Bundle velocity (0, f(x, y, u)) at z = (x, y); the base is not checked."""
         n = self.manifold.dim
         return np.concatenate([np.zeros(n), np.asarray(self.dynamics(z[:n], z[n:], u), dtype=float)])
+
+    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+        """The base does not move; only the fiber is integrated."""
+        return still_base_pass(
+            x0, u, lambda x, u_k: lambda t, y: np.asarray(self.dynamics(x, y, u_k), dtype=float)
+        )
 
 
 @dataclass(frozen=True)
