@@ -74,18 +74,23 @@ class ControlSignal:
         return cls(horizon=horizon, values=values)
 
 
-def _check_horizon(horizon) -> None:
+def _check_horizon(horizon, what: str = "control horizon") -> None:
     if not 0 < horizon < np.inf:
-        raise ValueError(f"control horizon must be positive and finite, got {horizon}")
+        raise ValueError(f"{what} must be positive and finite, got {horizon}")
 
 
 def segment_boundaries(u: Optional[ControlSignal], horizon: Optional[float], channels: int):
-    """Boundaries of the segments of u, or [0, horizon] when there is no control."""
+    """Boundaries of the segments of u, or [0, horizon] when there is no control.
+
+    A horizon given with a control must equal the control's horizon.
+    """
     if u is None:
         if horizon is None:
             raise ValueError("need a control signal or an explicit horizon")
         _check_horizon(horizon)
         return np.array([0.0, horizon])
+    if horizon is not None and horizon != u.horizon:
+        raise ValueError(f"horizon {horizon} differs from the control horizon {u.horizon}")
     if u.channels != channels:
         raise ValueError(f"control has {u.channels} channels, system expects {channels}")
     return u.boundaries

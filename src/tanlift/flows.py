@@ -136,8 +136,8 @@ def rk4_segments(rhs_for, z0: np.ndarray, boundaries, steps):
     ``rhs_for(k)`` is the right-hand side on segment k and ``steps(span)``
     its step count, so no step crosses a boundary.  Returns (times, rows,
     offsets): each node once, segment k spanning rows offsets[k] through
-    offsets[k + 1].  The rows are not checked; ``integrate_segments`` is
-    the checked form.
+    offsets[k + 1].  The rows are not checked: callers pass them to
+    ``check_trajectory``.
     """
     times = [np.asarray(boundaries[:1], dtype=float)]
     rows = [z0[None, :]]
@@ -153,16 +153,6 @@ def rk4_segments(rhs_for, z0: np.ndarray, boundaries, steps):
             offsets.append(offsets[-1] + n_steps)
             z0 = seg_rows[-1]
     return np.concatenate(times), np.concatenate(rows, axis=0), offsets
-
-
-def integrate_segments(rhs_for, z0: np.ndarray, boundaries, steps, manifold: ChartManifold):
-    """``rk4_segments`` over rows whose leading ``manifold.dim`` entries are base coordinates.
-
-    The rows pass ``check_trajectory`` before they are returned.
-    """
-    times, rows, offsets = rk4_segments(rhs_for, z0, boundaries, steps)
-    check_trajectory(manifold, times, rows[:, : manifold.dim], rows[:, manifold.dim :])
-    return times, rows, offsets
 
 
 def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarray, others: np.ndarray) -> None:
@@ -189,8 +179,9 @@ def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarr
 def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
     """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
 
-    Returns (times, states, jacobians, offsets) as ``integrate_segments`` does.
-    Y is evaluated at x0 first, so a field that is not finite there is named.
+    Returns (times, states, jacobians, offsets), the nodes and offsets of
+    ``rk4_segments``, after ``check_trajectory``.  Y is evaluated at x0
+    first, so a field that is not finite there is named.
     """
     n = x0.manifold.dim
     Y.at(x0)
@@ -200,16 +191,21 @@ def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
         return np.concatenate([value, (jac @ z[n:].reshape(n, n)).ravel()])
 
     z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    times, rows, offsets = integrate_segments(lambda k: rhs, z0, boundaries, steps, x0.manifold)
-    return times, rows[:, :n], rows[:, n:].reshape(-1, n, n), offsets
+    times, rows, offsets = rk4_segments(lambda k: rhs, z0, boundaries, steps)
+    states, jacobians = rows[:, :n], rows[:, n:]
+    check_trajectory(x0.manifold, times, states, jacobians)
+    return times, states, jacobians.reshape(-1, n, n), offsets
 
 
 def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
-    """RK4 of dv/dt = ``sys.velocity(v, u)`` on TM, one constant input per step.
+    """RK4 on TM of a system's bundle velocity, one constant input per step.
 
-    The base velocity never depends on the fiber and RK4 treats every
-    coordinate alike, so the base is integrated first and the fiber after
-    it, with the values of RK4 on the whole bundle bit for bit.
+    The velocity is Y^c + sum_i u_i Xi^v for a lifted system, X0^v +
+    sum_i u_i Xi^v for an affine vertical one and (0, f(x, y, u)) for a
+    general vertical one.  The base velocity never depends on the fiber
+    and RK4 treats every coordinate alike, so the base is integrated first
+    and the fiber after it, with the values of RK4 on the whole bundle bit
+    for bit.
     ``sys.base_pass(x0, boundaries, steps, u)`` returns the base rows, or
     None for a base that does not move, and ``rhs_for(k)``: the fiber
     right-hand side on segment k, called once per RK4 stage in order.  A

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import ControlSignal, segment_boundaries
+from .controls import ControlSignal, _check_horizon, segment_boundaries
 from .errors import AlignmentError, NumericalError, TargetBaseError
 from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
@@ -40,26 +40,24 @@ _TARGET_BASE_TOL = 1e-6
 class LiftedSystem(DriftControlSystem):
     """dv/dt = Y^c(v) + sum_i u_i Xi^v(v) on the tangent bundle."""
 
-    def drift_lift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The complete lift Y^c = (Y(x), J_Y(x) y)."""
-        value, jac = self.drift.value_and_jacobian(x)
-        return np.concatenate([value, jac @ y])
-
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """Base rows of the drift flow from x0, and the fiber right-hand sides.
 
         Each base stage is checked once and records its point and the
         drift Jacobian J there.  The controls are then evaluated once over
         all stage points, and the fiber right-hand side at stage s is
-        J_s y + sum_i u_i Xi(x_s), added up in the order of ``velocity``.
+        J_s y + sum_i u_i Xi(x_s), the fiber block of Y^c + sum_i u_i Xi^v.
         """
-        points, jacobians = [], []
+        n_stages = 4 * sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
+        points = np.empty((n_stages, x0.dim))
+        jacobians = np.empty((n_stages, x0.dim, x0.dim))
+        stages = itertools.count()
 
         def base_rhs(t, x):
             x = self.manifold.check(x)
-            value, jac = self.drift.value_and_jacobian(x)
-            points.append(x)
-            jacobians.append(jac)
+            s = next(stages)
+            points[s] = x
+            value, jacobians[s] = self.drift.value_and_jacobian(x)
             return value
 
         _, bases, offsets = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, steps)
@@ -68,7 +66,6 @@ class LiftedSystem(DriftControlSystem):
             return bases, lambda k: lambda t, y: jacobians[next(stages)] @ y
         # Each RK4 step has four stages, all under the input of its segment.
         inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
-        points = np.array(points)
         terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
 
         def fiber_rhs(t, y):
@@ -240,8 +237,7 @@ def build_transport_grid(
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
-    if not 0 < T < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    _check_horizon(T, "horizon")
     return _transport_segments(sys, x0, np.linspace(0.0, T, N + 1), cfg)
 
 
@@ -439,8 +435,7 @@ def steer_lifted(
     """
     if N < 1:
         raise ValueError("need at least 1 grid segment")
-    if not 0 < T < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    _check_horizon(T, "horizon")
     grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
     x_T = grid.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))

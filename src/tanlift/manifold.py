@@ -165,7 +165,9 @@ class VectorField:
         """Coefficients and Jacobian at coordinates the caller has already checked.
 
         A compiled field makes one ``kernel`` call; any other field goes
-        through ``func`` and ``jac`` (or central differences).
+        through ``func`` and ``jac`` (or central differences).  The
+        Jacobian is C-contiguous whatever the layout ``jac`` returns, since
+        BLAS rounds ``@`` differently on a transposed one.
         """
         n = self.manifold.dim
         if self.kernel is not None:
@@ -174,7 +176,7 @@ class VectorField:
         value = self.value(coords)
         if self.jac is None:
             return value, numeric_jacobian(self, coords)
-        mat = np.asarray(self.jac(coords), dtype=float)
+        mat = np.ascontiguousarray(self.jac(coords), dtype=float)
         if mat.shape != (n, n):
             raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
         return value, mat
@@ -212,16 +214,6 @@ class DriftControlSystem:
     @property
     def control_dim(self) -> int:
         return len(self.controls)
-
-    def velocity(self, z: np.ndarray, u) -> np.ndarray:
-        """Velocity ``drift_lift(x, y)`` + sum_i u_i Xi^v at z = (x, y); checks x once."""
-        n = self.manifold.dim
-        x = self.manifold.check(z[:n])
-        v = self.drift_lift(x, z[n:])
-        if u is not None:
-            for ui, X in zip(u, self.controls):
-                v[n:] += ui * X.value(x)
-        return v
 
 
 def project(v: TangentPoint) -> BasePoint:

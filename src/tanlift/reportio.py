@@ -17,10 +17,10 @@ from .errors import NumericalError
 
 
 def format_float(x: float) -> str:
+    x = float(x)
     if not math.isfinite(x):
         raise NumericalError(f"cannot serialize non-finite value {x!r}")
-    text = format(float(x), ".17g")
-    return text
+    return format(x, ".17g")
 
 
 def _serialize(obj, out: list) -> None:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlSignal
+from .controls import ControlSignal, _check_horizon
 from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle, still_base_pass
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
@@ -26,10 +26,6 @@ class VerticalAffineSystem(DriftControlSystem):
     def control_matrix(self, x: BasePoint) -> np.ndarray:
         """Columns Xi(x), the directions reachable in the fiber."""
         return np.column_stack([X.at(x) for X in self.controls])
-
-    def drift_lift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The vertical lift X0^v = (0, X0(x))."""
-        return np.concatenate([np.zeros(self.manifold.dim), self.drift.value(x)])
 
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """The base does not move; the fiber velocity is one constant per base point and segment."""
@@ -51,11 +47,6 @@ class GeneralVerticalSystem:
     manifold: ChartManifold
     dynamics: Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
     control_dim: int = 0
-
-    def velocity(self, z: np.ndarray, u) -> np.ndarray:
-        """Bundle velocity (0, f(x, y, u)) at z = (x, y); the base is not checked."""
-        n = self.manifold.dim
-        return np.concatenate([np.zeros(n), np.asarray(self.dynamics(z[:n], z[n:], u), dtype=float)])
 
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """The base does not move; only the fiber is integrated."""
@@ -129,8 +120,7 @@ def reachable_vertical(
     sys: VerticalAffineSystem, v0: TangentPoint, T: float, tol: float = DEFAULT_RANK_TOL
 ) -> ReachableAffineSet:
     """Reachable set at time T: drift-translated anchor plus control span."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    _check_horizon(T, "horizon")
     x0 = v0.base
     anchor = TangentPoint(x0, v0.fiber + T * sys.drift.at(x0))
     basis = span_basis([X.at(x0) for X in sys.controls], tol)
@@ -160,8 +150,7 @@ def steer_vertical(
     integral alpha_i uniformly, u_i = alpha_i / T.  Raises when the
     residual shows the target lies off the reachable affine subspace.
     """
-    if not 0 < T < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {T}")
+    _check_horizon(T, "horizon")
     x0 = v0.base
     target = np.asarray(target_fiber, dtype=float)
     defect = target - v0.fiber - T * sys.drift.at(x0)

@@ -29,7 +29,7 @@ from tanlift import (
     transported_field,
 )
 from tanlift import flows
-from tanlift.flows import integrate_segments, pullback_vector
+from tanlift.flows import check_trajectory, pullback_vector, rk4_segments
 
 from conftest import random_smooth_field
 
@@ -95,9 +95,7 @@ def test_flow_states_are_the_plain_base_rk4(chart):
     cfg = IntegratorConfig(step=1e-2)
     for Y in _base_fields(manifold):
         for T in (0.7, -0.4):
-            _, states, _ = integrate_segments(
-                lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for, manifold
-            )
+            _, states, _ = rk4_segments(lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for)
             res = flow(Y, x0, T, cfg)
             assert res.jacobians.shape == (len(res.times), 2, 2)
             assert np.array_equal(res.states, states), (chart, Y.name, T)
@@ -114,9 +112,7 @@ def test_flow_domain_exit_reports_time(s2):
 def test_integrate_segments_shares_boundary_rows(r2, shear_fields):
     Y, _ = shear_fields
     boundaries = np.array([0.0, 0.25, 1.0])
-    times, rows, offsets = integrate_segments(
-        lambda k: lambda t, x: Y.at(x), np.array([2.0, -1.0]), boundaries, lambda span: 4, r2
-    )
+    times, rows, offsets = rk4_segments(lambda k: lambda t, x: Y.at(x), np.array([2.0, -1.0]), boundaries, lambda span: 4)
     assert offsets == [0, 4, 8]
     assert rows.shape == (9, 2) and times.shape == (9,)
     assert np.array_equal(times[offsets], boundaries)
@@ -125,17 +121,19 @@ def test_integrate_segments_shares_boundary_rows(r2, shear_fields):
 
 def test_integrate_segments_checks_final_row(s2):
     # A right-hand side that never evaluates a field leaves the final row
-    # as the only one the driver checks against the chart.
+    # as the only one checked against the chart.
     drift = lambda t, x: np.array([1.0, 0.0])
+    times, rows, _ = rk4_segments(lambda k: drift, np.array([0.8, 0.0]), [0.0, 5.0], lambda span: 1)
     with pytest.raises(DomainExitError) as err:
-        integrate_segments(lambda k: drift, np.array([0.8, 0.0]), [0.0, 5.0], lambda span: 1, s2)
+        check_trajectory(s2, times, rows, rows[:, 2:])
     assert err.value.time == 5.0
 
 
 def test_integrate_segments_names_non_finite_time(r2):
     blow_up = lambda t, z: z * z
+    times, rows, _ = rk4_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], lambda span: 100)
     with pytest.raises(NumericalError, match=r"non-finite state at t = 1\.0"):
-        integrate_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], lambda span: 100, r2)
+        check_trajectory(r2, times, rows, rows[:, 2:])
 
 
 def test_flow_step_budget(r2, shear_fields):

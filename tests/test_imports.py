@@ -5,11 +5,14 @@ counts as used when it is loaded anywhere in the module, including inside
 a string annotation.  An import statement whose first line carries
 ``# noqa: F401`` is exempt: ``lifted`` keeps ``integrate_fixed`` bound so
 that a tracer can wrap it there.  ``__init__.py`` re-exports by design, so
-its ``__all__`` must list exactly the public names it binds.
+its ``__all__`` must list exactly the public names it binds.  A private
+(``_``-prefixed, not dunder) function or method must be referenced, by
+name or attribute, somewhere in the package outside its own body.
 """
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import tanlift
@@ -50,6 +53,52 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
             used |= _annotation_names(node.returns)
     return sorted(name for name in imported if name not in used)
+
+
+def _references(tree) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """"module:name" of each private function or method only its own body references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and references[node.name] == _references(node)[node.name]
+    )
+
+
+def test_private_function_checker_sees_calls_methods_and_self_reference():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _recursive(n):\n    return _recursive(n - 1)\n",
+        "b.py": (
+            "from a import _used\n"
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self._method()\n"
+            "        _used()\n"
+            "    def _method(self):\n"
+            "        pass\n"
+            "    def _dead(self):\n"
+            "        pass\n"
+        ),
+    }
+    assert unreferenced_private_functions(sources) == ["a.py:_recursive", "b.py:_dead"]
+
+
+def test_package_has_no_unreferenced_private_functions():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
 
 
 def test_checker_sees_string_annotations_and_noqa():

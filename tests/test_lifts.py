@@ -208,27 +208,3 @@ def test_expression_fields_give_exact_bracket_chain(r2):
     x = np.array([1.5, 0.0])
     assert np.allclose(B1.at(x), [0.0, -2 * 1.5], atol=1e-14)
     assert np.allclose(B2.at(x), [0.0, 0.0], atol=1e-14)
-
-
-@pytest.mark.parametrize("chart", ["R2", "S2-spherical"])
-def test_system_velocity_is_the_lift_sum(chart):
-    # The paper's systems: Y^c + sum_i u_i Xi^v and X0^v + sum_i u_i Xi^v.
-    from tanlift import LiftedSystem, VerticalAffineSystem, builtin_manifold
-
-    m = builtin_manifold(chart)
-    compiled = field_from_expressions(m, ["cos(x2) + 0.5*sin(x1)", "x2*sin(x1)"], "Y")
-    powered = field_from_expressions(m, ["pow(x1, 2) - 0.3", "0.2*pow(x2, 3)"], "X1")
-    hand = field_from_callable(m, lambda x: np.array([np.sin(x[1]), 1.0 + x[0] * x[1]]), name="X2")
-    z = np.array([1.1, 0.4, -0.7, 0.9])
-    u = np.array([0.6, -1.3])
-    for drift in (compiled, powered, hand):
-        controls = (powered, hand) if drift is compiled else (compiled, hand)
-        for system, drift_lift in (
-            (LiftedSystem(m, drift, controls), complete_lift(drift)),
-            (VerticalAffineSystem(m, drift, controls), vertical_lift(drift)),
-        ):
-            expected = drift_lift.at(z)
-            assert np.array_equal(system.velocity(z, None), expected)
-            for ui, X in zip(u, controls):
-                expected = expected + ui * vertical_lift(X).at(z)
-            assert np.array_equal(system.velocity(z, u), expected)

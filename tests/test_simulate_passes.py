@@ -1,7 +1,9 @@
 """The base-then-fiber simulators against RK4 of the whole tangent-bundle state.
 
-``bundle_rk4`` is the reference: one ``integrate_segments`` pass over
-``sys.velocity``, the 2n-dimensional bundle vector field.  The simulators
+``bundle_rk4`` is the reference: one ``rk4_segments`` pass over the
+2n-dimensional bundle vector field built from the lifts, Y^c + sum_i u_i
+Xi^v for a lifted system and X0^v + sum_i u_i Xi^v for an affine vertical
+one, and (0, f(x, y, u)) for a general vertical system.  The simulators
 integrate the base and the fiber in separate passes, and must give the
 same times, bases and fibers bit for bit (including the sign of zero), and
 the same error for the same failure.
@@ -27,29 +29,52 @@ from tanlift import (
     builtin_manifold,
     endpoint_closed_form,
     fiber_dynamics_from_expressions,
+    field_from_callable,
     field_from_expressions,
     simulate_lifted_ode,
     simulate_vertical_ode,
 )
 from tanlift.cli import main
 from tanlift.controls import segment_boundaries
-from tanlift.flows import DEFAULT_CONFIG, integrate_segments
-from tanlift.manifold import DriftControlSystem
+from tanlift.flows import DEFAULT_CONFIG, check_trajectory, rk4_segments
+from tanlift.lifts import complete_lift, vertical_lift
+
+
+def bundle_velocity(sys):
+    """The bundle velocity (z, u) -> dz/dt of a system, from the lifts."""
+    n = sys.manifold.dim
+    if isinstance(sys, GeneralVerticalSystem):
+        return lambda z, u: np.concatenate([np.zeros(n), np.asarray(sys.dynamics(z[:n], z[n:], u), dtype=float)])
+    drift = complete_lift(sys.drift) if isinstance(sys, LiftedSystem) else vertical_lift(sys.drift)
+    controls = [vertical_lift(X) for X in sys.controls]
+
+    def velocity(z, u):
+        v = drift.at(z)
+        if u is not None:
+            # Into the fiber block only: adding a whole vertical lift would
+            # turn a -0.0 base velocity into +0.0.
+            for ui, X in zip(u, controls):
+                v[n:] += ui * X.at(z)[n:]
+        return v
+
+    return velocity
 
 
 def bundle_rk4(sys, v0, u, cfg=DEFAULT_CONFIG, horizon=None):
     """(times, bases, fibers) of RK4 on the bundle state (x, y), one input per segment."""
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
-    if isinstance(sys, DriftControlSystem):
+    if not isinstance(sys, GeneralVerticalSystem):
         for X in (sys.drift, *sys.controls):
             X.at(v0.base)
+    velocity = bundle_velocity(sys)
 
     def rhs_for(k):
         u_seg = u.values[k] if u is not None else None
-        return lambda t, z: sys.velocity(z, u_seg)
+        return lambda t, z: velocity(z, u_seg)
 
     n = sys.manifold.dim
-    times, rows, _ = integrate_segments(rhs_for, v0.as_vector(), boundaries, cfg.steps_for, sys.manifold)
+    times, rows, _ = rk4_segments(rhs_for, v0.as_vector(), boundaries, cfg.steps_for)
+    check_trajectory(sys.manifold, times, rows[:, :n], rows[:, n:])
     return times, rows[:, :n], rows[:, n:]
 
 
@@ -75,7 +100,8 @@ def assert_same(got, want):
 
 
 # Components of drift and control fields.  Trig and exp components compile
-# to one vectorized function; a power makes a field go row by row.
+# to one vectorized function; a power makes a field go row by row, as does
+# a hand-built field.
 TRIG = ["0", "1", "sin(x2)", "-sin(x2)", "cos(x1)", "0.5*sin(x1) - 1.25*cos(x2)", "-sin(x1)*sin(x2)", "exp(sin(x2))"]
 POWER = ["pow(x2, 2)", "pow(x1, 3) - x2", "0.3*pow(x2, 2)*cos(x1)", "1/(x1 + 4)"]
 ZEROS = [-0.0, 0.0]
@@ -92,9 +118,28 @@ def damping(chart, channels):
     return fiber_dynamics_from_expressions(builtin_manifold(chart), exprs, channels)
 
 
+def hand(x):
+    return np.array([np.sin(x[1]) - 0.4 * x[0] * x[1], -np.sin(x[0]) * np.cos(x[1])])
+
+
+def hand_jac(x):
+    # Built transposed: the layout of a Jacobian must not change a bit.
+    rows = [[-0.4 * x[1], -np.cos(x[0]) * np.cos(x[1])], [np.cos(x[1]) - 0.4 * x[0], np.sin(x[0]) * np.sin(x[1])]]
+    return np.array(rows).T
+
+
+@functools.cache
+def hand_built(chart, name, jac):
+    """A ``field_from_callable`` field, with an analytic Jacobian or central differences."""
+    return field_from_callable(builtin_manifold(chart), hand, hand_jac if jac else None, name)
+
+
 @st.composite
 def fields(draw, chart, name):
-    pool = draw(st.sampled_from([TRIG, TRIG + POWER]))
+    kind = draw(st.sampled_from(["trig", "power", "hand", "hand with jac"]))
+    if kind.startswith("hand"):
+        return hand_built(chart, name, kind == "hand with jac")
+    pool = TRIG if kind == "trig" else TRIG + POWER
     return compiled(chart, tuple(draw(st.sampled_from(pool)) for _ in range(2)), name)
 
 
@@ -226,18 +271,36 @@ def test_cli_names_the_time_of_a_singular_control(capsys, tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("T", [-1.0, 0.0])
-@pytest.mark.parametrize("caller", ["simulate_lifted_ode", "simulate_vertical_ode", "endpoint_closed_form"])
-def test_horizon_without_a_control_must_be_positive(caller, T):
+CALLERS = {
+    "simulate_lifted_ode": (simulate_lifted_ode, LiftedSystem),
+    "simulate_vertical_ode": (simulate_vertical_ode, VerticalAffineSystem),
+    "endpoint_closed_form": (endpoint_closed_form, LiftedSystem),
+}
+
+
+def _shear_run(caller):
+    """A caller of ``segment_boundaries`` bound to a shear system on R2 and its initial vector."""
+    run, system = CALLERS[caller]
     r2 = builtin_manifold("R2")
-    Y = compiled("R2", ("1", "0"), "Y")
-    X = compiled("R2", ("0", "1"), "X1")
-    system = VerticalAffineSystem if caller == "simulate_vertical_ode" else LiftedSystem
-    run = {
-        "simulate_lifted_ode": simulate_lifted_ode,
-        "simulate_vertical_ode": simulate_vertical_ode,
-        "endpoint_closed_form": endpoint_closed_form,
-    }[caller]
+    sys = system(r2, compiled("R2", ("1", "0"), "Y"), (compiled("R2", ("0", "1"), "X1"),))
     v0 = r2.tangent_point([0.0, 0.0], [0.0, 0.0])
+    return lambda u, horizon: run(sys, v0, u, horizon=horizon)
+
+
+@pytest.mark.parametrize("T", [-1.0, 0.0])
+@pytest.mark.parametrize("caller", list(CALLERS))
+def test_horizon_without_a_control_must_be_positive(caller, T):
     with pytest.raises(ValueError, match=rf"^control horizon must be positive and finite, got {T}$"):
-        run(system(r2, Y, (X,)), v0, None, horizon=T)
+        _shear_run(caller)(None, T)
+
+
+@pytest.mark.parametrize("T", [5.0, -3.0])
+@pytest.mark.parametrize("caller", list(CALLERS))
+def test_horizon_given_with_a_control_must_be_its_horizon(caller, T):
+    run = _shear_run(caller)
+    u = ControlSignal.constant([0.5], horizon=1.0)
+    with pytest.raises(ValueError, match=rf"^horizon {T} differs from the control horizon 1\.0$"):
+        run(u, T)
+    # An equal horizon is accepted; a trajectory is compared by its final vector.
+    same, plain = (getattr(r, "final", r).as_vector() for r in (run(u, 1.0), run(u, None)))
+    assert np.array_equal(same, plain)
