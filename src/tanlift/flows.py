@@ -17,7 +17,7 @@ import numpy as np
 
 from .controls import segment_boundaries
 from .errors import ChartDomainError, DomainExitError, NumericalError, StepBudgetError
-from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint, VectorField
+from .manifold import BasePoint, ChartManifold, TangentPoint, VectorField
 
 
 @dataclass(frozen=True)
@@ -28,25 +28,40 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
     def steps_for(self, span: float) -> int:
+        """Step count of one segment of length ``span``."""
         if not math.isfinite(span):
             raise ValueError(f"horizon {span} is not finite")
         if span == 0.0:
             return 0
-        n = max(1, math.ceil(abs(span) / self.step))
-        if n > self.max_steps:
+        n = abs(float(span)) / self.step
+        if n == math.inf:
             raise StepBudgetError(
-                f"horizon {span} needs {n} steps of {self.step}, budget is {self.max_steps}"
+                f"horizon {span} needs more steps of {self.step} than a float counts, budget is {self.max_steps}"
             )
-        return n
+        return max(1, math.ceil(n))
 
 
 DEFAULT_CONFIG = IntegratorConfig()
+
+
+def _check_budget(cfg: IntegratorConfig, boundaries, steps) -> None:
+    """Reject a pass whose segments need more steps in all than ``cfg.max_steps``.
+
+    ``steps(span)`` counts the steps of one segment.  The budget bounds the
+    whole pass, however many segments it has, and is checked before any
+    step is taken.
+    """
+    total = sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
+    if total > cfg.max_steps:
+        raise StepBudgetError(
+            f"horizon {boundaries[-1] - boundaries[0]} needs {total} steps of {cfg.step}, budget is {cfg.max_steps}"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,15 +191,18 @@ def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarr
         )
 
 
-def joint_flow(Y: VectorField, x0: BasePoint, boundaries, steps):
+def joint_flow(Y: VectorField, x0: BasePoint, boundaries, cfg: IntegratorConfig, steps):
     """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
 
     Returns (times, states, jacobians, offsets), the nodes and offsets of
-    ``rk4_segments``, after ``check_trajectory``.  Y is evaluated at x0
-    first, so a field that is not finite there is named.
+    ``rk4_segments``, after ``check_trajectory``.  ``steps(span)`` counts
+    a segment's steps.  Y is evaluated at x0 first, so a field that is not
+    finite there is named; then ``cfg.max_steps`` is checked against the
+    whole pass.
     """
     n = x0.manifold.dim
     Y.at(x0)
+    _check_budget(cfg, boundaries, steps)
 
     def rhs(t, z):
         value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
@@ -210,15 +228,15 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
     None for a base that does not move, and ``rhs_for(k)``: the fiber
     right-hand side on segment k, called once per RK4 stage in order.  A
     base that does not move has rows x0, x0 + 0.0, ...: RK4 adds a zero
-    velocity, which turns a -0.0 coordinate into +0.0.  The drift and
-    controls of a ``DriftControlSystem`` are evaluated at the initial base
-    first, so a field that is not finite there is named.
+    velocity, which turns a -0.0 coordinate into +0.0.  Before any step,
+    ``sys._check_start(v0, u)`` evaluates the system at its start, so a
+    field or fiber dynamics that is not finite there is named, and the
+    step budget is checked for the whole pass.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
+    sys._check_start(v0, u)
+    _check_budget(cfg, boundaries, cfg.steps_for)
     x0 = v0.base
-    if isinstance(sys, DriftControlSystem):
-        for X in (sys.drift, *sys.controls):
-            X.at(x0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bases, rhs_for = sys.base_pass(x0, boundaries, cfg.steps_for, u)
         times, fibers, _ = rk4_segments(rhs_for, v0.fiber, boundaries, cfg.steps_for)
@@ -250,7 +268,7 @@ def still_base_pass(x0: BasePoint, u, rhs_at):
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative), with its differential."""
-    times, states, jacobians, _ = joint_flow(Y, x0, [0.0, T], cfg.steps_for)
+    times, states, jacobians, _ = joint_flow(Y, x0, [0.0, T], cfg, cfg.steps_for)
     return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
 
 

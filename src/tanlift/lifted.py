@@ -11,6 +11,7 @@ with an iterated-bracket sufficient criterion.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,12 @@ from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 _BOUNDARY_RTOL = 1e-9
 _TARGET_BASE_TOL = 1e-6
+# Transport grids kept by ``_transport_segments``, the oldest evicted
+# first: two, so that a grid outlives one pass over other nodes (a grid,
+# then a closed form, then steering on the grid's nodes).
+_TRANSPORT_MEMO_SIZE = 2
+_transport_memo: dict = {}
+_transport_memo_lock = threading.Lock()
 
 
 class LiftedSystem(DriftControlSystem):
@@ -88,7 +95,8 @@ class TransportOperatorGrid(FlowResult):
     is the same vector pushed forward to the endpoint fiber (the
     integrand of the transport operator).  ``integrals[k, i]`` is the
     Simpson integral of that integrand over segment k, from
-    ``times[k]`` to ``times[k + 1]``.
+    ``times[k]`` to ``times[k + 1]``.  Every array is read-only, because
+    one grid is shared by all callers that ask for the same pass.
     """
 
     transported: np.ndarray
@@ -149,6 +157,34 @@ def _simpson_weights(n_sub: int, h: float) -> np.ndarray:
 def _transport_segments(
     sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig
 ) -> TransportOperatorGrid:
+    """The transport grid of (sys, x0, boundaries, cfg), from one pass shared by all callers.
+
+    The transport operator is fixed by the system, the base point, the
+    node times and the integrator, so the closed form, ``L_T``, the
+    reachable set and steering all read the same grid.  The last
+    ``_TRANSPORT_MEMO_SIZE`` grids are kept.  A hit needs the very same
+    system and manifold objects (an entry holds both, so their ids cannot
+    be reused while it lives) and the same bytes of x0 and the
+    boundaries; fields are pure, so a second pass would repeat every bit.
+    A pass that raises is not kept.  Two threads may both miss and run
+    the same pass; each gets a correct grid.
+    """
+    key = (id(sys), id(x0.manifold), x0.coords.tobytes(), boundaries.tobytes(), cfg)
+    with _transport_memo_lock:
+        entry = _transport_memo.get(key)
+    if entry is not None and entry[0] is sys and entry[1] is x0.manifold:
+        return entry[2]
+    grid = _transport_pass(sys, x0, boundaries, cfg)
+    with _transport_memo_lock:
+        _transport_memo[key] = (sys, x0.manifold, grid)
+        while len(_transport_memo) > _TRANSPORT_MEMO_SIZE:
+            del _transport_memo[next(iter(_transport_memo))]
+    return grid
+
+
+def _transport_pass(
+    sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig
+) -> TransportOperatorGrid:
     """One joint flow pass with per-segment Simpson transport integrals.
 
     The nodes of the returned grid are the segment boundaries.  Each
@@ -157,7 +193,7 @@ def _transport_segments(
     gives the segment's integral before the push to the endpoint fiber.
     """
     n = sys.manifold.dim
-    times, xs, Js, offsets = joint_flow(sys.drift, x0, boundaries, lambda span: _even_substeps(span, cfg))
+    times, xs, Js, offsets = joint_flow(sys.drift, x0, boundaries, cfg, lambda span: _even_substeps(span, cfg))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
     finite = np.isfinite(F).all(axis=2)
@@ -170,7 +206,7 @@ def _transport_segments(
         h = (boundaries[k + 1] - boundaries[k]) / (end - start)
         Z[k] = np.tensordot(_simpson_weights(end - start, h), pulled[start : end + 1], axes=(0, 0))
     J_T = Js[-1]
-    return TransportOperatorGrid(
+    grid = TransportOperatorGrid(
         manifold=sys.manifold,
         times=times[offsets],
         states=xs[offsets],
@@ -179,6 +215,9 @@ def _transport_segments(
         columns=np.matmul(J_T, pulled[offsets][..., None])[..., 0],
         integrals=np.matmul(J_T, Z[..., None])[..., 0],
     )
+    for a in (grid.times, grid.states, grid.jacobians, grid.transported, grid.columns, grid.integrals):
+        a.setflags(write=False)
+    return grid
 
 
 def simulate_lifted_ode(
@@ -211,7 +250,9 @@ def endpoint_closed_form(
     the segment's constant input times the Simpson integral of the
     transported direction.  Control segments define the quadrature
     segmentation, so piecewise-constant inputs are handled exactly up to
-    flow and quadrature error.
+    flow and quadrature error.  The grid over the control's boundaries is
+    the shared transport pass: steering with N segments and then asking
+    for the endpoint of the steering control reads one pass.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
     grid = _transport_segments(sys, v0.base, boundaries, cfg)
@@ -233,7 +274,9 @@ def build_transport_grid(
     """Transported directions sampled at N+1 uniform nodes of [0, T].
 
     One forward pass integrates the flow and its differential and pulls
-    each control back once per RK4 step state.
+    each control back once per RK4 step state.  The pass is shared: the
+    same (system, base point, nodes, config) returns the same read-only
+    grid that ``steer_lifted`` and ``endpoint_closed_form`` read.
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
@@ -432,6 +475,8 @@ def steer_lifted(
     move it).  The fiber defect relative to the drift-transported
     initial fiber is solved by least squares against the per-segment
     transport integrals, giving the minimum-norm N-segment control.
+    Those integrals come from the shared transport pass over N+1 uniform
+    nodes, the same grid as ``build_transport_grid(sys, v0.base, T, N)``.
     """
     if N < 1:
         raise ValueError("need at least 1 grid segment")

@@ -215,6 +215,11 @@ class DriftControlSystem:
     def control_dim(self) -> int:
         return len(self.controls)
 
+    def _check_start(self, v0: TangentPoint, u) -> None:
+        """Evaluate the drift and each control at the initial base, so a field not finite there is named."""
+        for X in (self.drift, *self.controls):
+            X.at(v0.base)
+
 
 def project(v: TangentPoint) -> BasePoint:
     """Canonical projection of the tangent bundle: (x, y) -> x."""

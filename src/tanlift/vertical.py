@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .controls import ControlSignal, _check_horizon
+from .errors import NumericalError
 from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle, still_base_pass
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
 from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
@@ -47,6 +48,14 @@ class GeneralVerticalSystem:
     manifold: ChartManifold
     dynamics: Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
     control_dim: int = 0
+
+    def _check_start(self, v0: TangentPoint, u: Optional[ControlSignal]) -> None:
+        """Evaluate the dynamics at v0 under the first input; a non-finite value is named."""
+        x, y = v0.base.coords, v0.fiber
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = np.asarray(self.dynamics(x, y, None if u is None else u.values[0]), dtype=float)
+        if not np.isfinite(value).all():
+            raise NumericalError(f"fiber dynamics are not finite at x = {x.tolist()}, y = {y.tolist()}")
 
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """The base does not move; only the fiber is integrated."""

@@ -505,6 +505,41 @@ def test_drift_not_finite_at_the_initial_base_is_named(capsys, tmp_path, command
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_fiber_dynamics_not_finite_at_the_start_are_named(capsys, tmp_path):
+    # -y1/x2 divides by the initial base coordinate x2 = 0.
+    doc = json.loads((SCENARIOS / "s2_damping.json").read_text())
+    doc["vertical_system"]["fiber_dynamics"] = ["-y1/x2", "-1*y2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "numerical failure: fiber dynamics are not finite at x = [1.5707963267948966, 0.0], y = [1.0, 1.0]\n"
+    )
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("budget, code", [(1023, 3), (1024, 0)])
+def test_step_budget_bounds_the_whole_transport_pass(capsys, budget, code):
+    # 64 grid segments of 1/64 take an even 16 steps each: 1,024 in all.
+    result = main(["reachable", "--scenario", str(SCENARIOS / "r2_shear.json"), "--max-steps", str(budget)])
+    captured = capsys.readouterr()
+    assert result == code
+    if code:
+        assert captured.err == f"numerical failure: horizon 1.0 needs 1024 steps of 0.001, budget is {budget}\n"
+
+
+def test_step_too_small_to_count_is_a_step_budget_failure(capsys):
+    # 1 / 1e-310 overflows to inf, which no step count can hold.
+    code = main(["simulate", "--scenario", str(SCENARIOS / "r2_shear.json"), "--step", "1e-310"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "numerical failure: horizon 1.0 needs more steps of 1e-310 than a float counts, budget is 1000000\n"
+    )
+
+
 def test_singular_flow_differential_is_numerical_failure(capsys, tmp_path):
     doc = {
         "schema": "tanlift-scenario-v1",

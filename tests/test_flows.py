@@ -16,6 +16,7 @@ from tanlift import (
     build_transport_grid,
     builtin_manifold,
     constant_field,
+    endpoint_closed_form,
     field_from_callable,
     field_from_expressions,
     flow,
@@ -140,6 +141,43 @@ def test_flow_step_budget(r2, shear_fields):
     Y, _ = shear_fields
     with pytest.raises(StepBudgetError):
         flow(Y, r2.point([1.0, 0.0]), 10.0, IntegratorConfig(step=1e-3, max_steps=100))
+
+
+def _budget_calls(r2, shear_fields):
+    """Each call with its step total at horizon 0.05: 8 segments of 0.00625 take 7 steps each, or 8 when even."""
+    Y, X1 = shear_fields
+    system = LiftedSystem(r2, Y, (X1,))
+    v0 = r2.tangent_point([1.0, 0.0], [0.0, 1.0])
+    u = ControlSignal(horizon=0.05, values=np.linspace(-1.0, 1.0, 8)[:, None])
+    return {
+        "flow": (50, lambda cfg: flow(Y, v0.base, 0.05, cfg)),
+        "build_transport_grid": (64, lambda cfg: build_transport_grid(system, v0.base, 0.05, 8, cfg)),
+        "simulate_lifted_ode": (56, lambda cfg: simulate_lifted_ode(system, v0, u, cfg)),
+        "endpoint_closed_form": (64, lambda cfg: endpoint_closed_form(system, v0, u, cfg)),
+    }
+
+
+@pytest.mark.parametrize("name", ["flow", "build_transport_grid", "simulate_lifted_ode", "endpoint_closed_form"])
+def test_step_budget_bounds_the_whole_pass(r2, shear_fields, name):
+    # Every segment fits a budget of 10; the pass as a whole does not.
+    total, call = _budget_calls(r2, shear_fields)[name]
+    message = rf"^horizon 0\.05 needs {total} steps of 0\.001, budget is 10$"
+    with pytest.raises(StepBudgetError, match=message):
+        call(IntegratorConfig(max_steps=10))
+    with pytest.raises(StepBudgetError, match=rf"needs {total} steps of 0\.001, budget is {total - 1}$"):
+        call(IntegratorConfig(max_steps=total - 1))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_step_must_be_positive_and_finite(step):
+    with pytest.raises(ValueError, match=rf"^step must be positive and finite, got {step}$"):
+        IntegratorConfig(step=step)
+
+
+@pytest.mark.parametrize("name", ["flow", "build_transport_grid", "simulate_lifted_ode", "endpoint_closed_form"])
+def test_step_budget_equal_to_the_total_runs(r2, shear_fields, name):
+    total, call = _budget_calls(r2, shear_fields)[name]
+    assert call(IntegratorConfig(max_steps=total)) is not None
 
 
 def test_flow_differential_shear(r2, shear_fields):

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from tanlift import (
     AlignmentError,
     ControlSignal,
+    DomainExitError,
+    IntegratorConfig,
     LiftedSystem,
     NumericalError,
     TangentPoint,
@@ -15,6 +21,7 @@ from tanlift import (
     apply_LT,
     base_lie_bracket,
     build_transport_grid,
+    builtin_manifold,
     constant_field,
     endpoint_closed_form,
     fiber_controllability_report,
@@ -26,6 +33,7 @@ from tanlift import (
     transported_derivatives,
     transported_field,
 )
+from tanlift import flows, lifted
 
 from conftest import random_smooth_field
 
@@ -481,3 +489,151 @@ def test_steer_unreachable_direction(s2):
     target = s2.tangent_point([0.8, 1.3], [0.0, 1.0])
     with pytest.raises(UnreachableTargetError):
         steer_lifted(sys, v0, target, 1.0, N=8)
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """The number of ``integrate_fixed`` calls so far: one per segment of each RK4 pass."""
+    calls = []
+    integrate = flows.integrate_fixed
+
+    def counting(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(flows, "integrate_fixed", counting)
+    return lambda: len(calls)
+
+
+def test_grid_then_steering_runs_one_transport_pass(r2, shear_system, count_passes):
+    # A closed form over other nodes in between does not evict the grid.
+    v0 = r2.tangent_point([1.0, 0.0], [0.0, 1.0])
+    grid = build_transport_grid(shear_system, v0.base, 0.3, 8)
+    assert count_passes() == 8
+    target = endpoint_closed_form(shear_system, v0, ControlSignal(horizon=0.3, values=[[0.5], [-1.0], [2.0]]))
+    assert count_passes() == 11
+    steer = steer_lifted(shear_system, v0, target, 0.3, N=8)
+    endpoint_closed_form(shear_system, v0, steer)
+    assert count_passes() == 11
+    assert build_transport_grid(shear_system, r2.point([1.0, 0.0]), 0.3, 8) is grid
+
+
+def test_shared_pass_gives_the_bits_of_a_fresh_one(s2, s2_fields):
+    X0, X1, X2 = s2_fields
+    system = LiftedSystem(s2, X0, (X1, X2))
+    v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
+    u = ControlSignal(horizon=0.2, values=np.array([[0.4, -0.6], [0.1, 0.2], [-1.0, 0.5]]))
+
+    def run(fresh):
+        out = []
+        for call in (
+            lambda: build_transport_grid(system, v0.base, 0.2, 6),
+            lambda: endpoint_closed_form(system, v0, u),
+            lambda: steer_lifted(system, v0, out[1], 0.2, N=6),
+            lambda: endpoint_closed_form(system, v0, out[2]),
+        ):
+            if fresh:
+                lifted._transport_memo.clear()
+            out.append(call())
+        grid, end, steer, reached = out
+        return [grid.times, grid.states, grid.jacobians, grid.transported, grid.columns, grid.integrals,
+                end.base.coords, end.fiber, steer.values, reached.base.coords, reached.fiber]
+
+    shared, fresh = run(fresh=False), run(fresh=True)
+    for a, b in zip(shared, fresh):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_transport_pass_misses_on_any_changed_input(r2, shear_fields, count_passes):
+    Y, X1 = shear_fields
+    system = LiftedSystem(r2, Y, (X1,))
+    x0 = r2.point([1.0, 0.0])
+    changed = {
+        "same inputs": lambda: build_transport_grid(system, r2.point([1.0, 0.0]), 0.3, 4),
+        "system object": lambda: build_transport_grid(LiftedSystem(r2, Y, (X1,)), x0, 0.3, 4),
+        "base point": lambda: build_transport_grid(system, r2.point([1.0, 1e-12]), 0.3, 4),
+        "sign of a zero": lambda: build_transport_grid(system, r2.point([1.0, -0.0]), 0.3, 4),
+        "manifold object": lambda: build_transport_grid(system, builtin_manifold("R2").point([1.0, 0.0]), 0.3, 4),
+        "horizon": lambda: build_transport_grid(system, x0, 0.31, 4),
+        "grid segments": lambda: build_transport_grid(system, x0, 0.3, 6),
+        "step": lambda: build_transport_grid(system, x0, 0.3, 4, IntegratorConfig(step=2e-3)),
+        "step budget": lambda: build_transport_grid(system, x0, 0.3, 4, IntegratorConfig(max_steps=10**5)),
+    }
+    passes = {}
+    for name, call in changed.items():
+        lifted._transport_memo.clear()
+        build_transport_grid(system, x0, 0.3, 4)
+        before = count_passes()
+        call()
+        passes[name] = count_passes() - before
+    assert passes == {name: 0 if name == "same inputs" else (6 if name == "grid segments" else 4) for name in changed}
+
+
+def test_transport_grid_arrays_are_read_only(r2, shear_system):
+    grid = build_transport_grid(shear_system, r2.point([1.0, 0.0]), 0.3, 4)
+    for name in ("times", "states", "jacobians", "transported", "columns", "integrals"):
+        array = getattr(grid, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+def test_a_failed_transport_pass_is_not_kept(s2, count_passes):
+    # The drift carries x1 from 0.8 past the chart edge pi - 0.01 near t = 2.33.
+    system = LiftedSystem(s2, constant_field(s2, [1.0, 0.0], "Y"), (constant_field(s2, [0.0, 1.0], "X1"),))
+    x0 = s2.point([0.8, 0.3])
+    messages = []
+    for _ in range(2):
+        before = count_passes()
+        with pytest.raises(DomainExitError) as err:
+            build_transport_grid(system, x0, 5.0, 4)
+        messages.append(str(err.value))
+        assert count_passes() > before
+    assert messages[0] == messages[1] and "left the chart domain" in messages[0]
+
+
+def test_transport_memo_releases_evicted_systems(r2, shear_fields):
+    Y, X1 = shear_fields
+    x0 = r2.point([1.0, 0.0])
+    systems = [LiftedSystem(r2, Y, (X1,)) for _ in range(lifted._TRANSPORT_MEMO_SIZE + 1)]
+    first = weakref.ref(systems[0])
+    for system in systems:
+        build_transport_grid(system, x0, 0.1, 2)
+    del systems, system
+    gc.collect()
+    assert first() is None
+    assert len(lifted._transport_memo) == lifted._TRANSPORT_MEMO_SIZE
+
+
+def test_threads_sharing_the_memo_get_their_own_grids(r2, shear_fields):
+    # Six threads ask for three keys in turn over a two-entry memo, with a
+    # short switch interval, so lookups, passes and evictions interleave;
+    # every grid must still be its key's grid.
+    Y, X1 = shear_fields
+    systems = [LiftedSystem(r2, Y, (X1,)) for _ in range(3)]
+    x0 = r2.point([1.0, 0.0])
+    expected = []
+    for system in systems:
+        lifted._transport_memo.clear()
+        expected.append(build_transport_grid(system, x0, 0.02 * (len(expected) + 1), 2).integrals)
+    failures = []
+
+    def worker(offset):
+        for k in range(30):
+            i = (k + offset) % 3
+            grid = build_transport_grid(systems[i], x0, 0.02 * (i + 1), 2)
+            if not np.array_equal(grid.integrals, expected[i]):
+                failures.append((offset, k))
+
+    threads = [threading.Thread(target=worker, args=(offset % 3,)) for offset in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
