@@ -39,12 +39,7 @@ class IntegratorConfig:
             raise ValueError(f"horizon {span} is not finite")
         if span == 0.0:
             return 0
-        n = abs(float(span)) / self.step
-        if n == math.inf:
-            raise StepBudgetError(
-                f"horizon {span} needs more steps of {self.step} than a float counts, budget is {self.max_steps}"
-            )
-        return max(1, math.ceil(n))
+        return max(1, math.ceil(abs(span) / self.step))
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -55,13 +50,16 @@ def _check_budget(cfg: IntegratorConfig, boundaries, steps) -> None:
 
     ``steps(span)`` counts the steps of one segment.  The budget bounds the
     whole pass, however many segments it has, and is checked before any
-    step is taken.
+    step is taken.  The segments need at least horizon / step steps, so a
+    pass over the budget by that quotient is rejected before any count is
+    formed, and a count too large to print or to hold in a float never is.
     """
+    span = float(boundaries[-1] - boundaries[0])
+    if math.isfinite(span) and abs(span) / cfg.step > cfg.max_steps:
+        raise StepBudgetError(f"horizon {span} needs more steps of {cfg.step} than the budget of {cfg.max_steps}")
     total = sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
     if total > cfg.max_steps:
-        raise StepBudgetError(
-            f"horizon {boundaries[-1] - boundaries[0]} needs {total} steps of {cfg.step}, budget is {cfg.max_steps}"
-        )
+        raise StepBudgetError(f"horizon {span} needs {total} steps of {cfg.step}, budget is {cfg.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,15 @@ class FlowResult:
 
     @property
     def final_point(self) -> BasePoint:
-        return BasePoint(self.manifold, self.states[-1])
+        return self.point(-1)
 
     @property
     def final_jacobian(self) -> np.ndarray:
         return self.jacobians[-1]
 
     def point(self, k: int) -> BasePoint:
-        return BasePoint(self.manifold, self.states[k])
+        """The node point, with coordinates of its own: a grid's states may be read-only."""
+        return BasePoint(self.manifold, self.states[k].copy())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ with an iterated-bracket sufficient criterion.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,12 +35,9 @@ from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 _BOUNDARY_RTOL = 1e-9
 _TARGET_BASE_TOL = 1e-6
-# Transport grids kept by ``_transport_segments``, the oldest evicted
-# first: two, so that a grid outlives one pass over other nodes (a grid,
-# then a closed form, then steering on the grid's nodes).
-_TRANSPORT_MEMO_SIZE = 2
-_transport_memo: dict = {}
-_transport_memo_lock = threading.Lock()
+# The last transport pass of ``_transport_segments``: (key, system,
+# manifold, grid), or None.
+_transport_memo = None
 
 
 class LiftedSystem(DriftControlSystem):
@@ -161,24 +157,21 @@ def _transport_segments(
 
     The transport operator is fixed by the system, the base point, the
     node times and the integrator, so the closed form, ``L_T``, the
-    reachable set and steering all read the same grid.  The last
-    ``_TRANSPORT_MEMO_SIZE`` grids are kept.  A hit needs the very same
-    system and manifold objects (an entry holds both, so their ids cannot
-    be reused while it lives) and the same bytes of x0 and the
-    boundaries; fields are pure, so a second pass would repeat every bit.
-    A pass that raises is not kept.  Two threads may both miss and run
-    the same pass; each gets a correct grid.
+    reachable set and steering all read the same grid.  The last grid is
+    kept.  A hit needs the very same system and manifold objects (the
+    memo holds both, so their ids cannot be reused while it lives) and
+    the same bytes of x0 and the boundaries; fields are pure, so a second
+    pass would repeat every bit.  A pass that raises is not kept.  The
+    memo is read once and replaced whole, so two threads may both miss
+    and run the same pass, and each gets its own key's grid.
     """
+    global _transport_memo
     key = (id(sys), id(x0.manifold), x0.coords.tobytes(), boundaries.tobytes(), cfg)
-    with _transport_memo_lock:
-        entry = _transport_memo.get(key)
-    if entry is not None and entry[0] is sys and entry[1] is x0.manifold:
-        return entry[2]
+    memo = _transport_memo
+    if memo is not None and memo[0] == key and memo[1] is sys and memo[2] is x0.manifold:
+        return memo[3]
     grid = _transport_pass(sys, x0, boundaries, cfg)
-    with _transport_memo_lock:
-        _transport_memo[key] = (sys, x0.manifold, grid)
-        while len(_transport_memo) > _TRANSPORT_MEMO_SIZE:
-            del _transport_memo[next(iter(_transport_memo))]
+    _transport_memo = (key, sys, x0.manifold, grid)
     return grid
 
 

@@ -160,12 +160,18 @@ def _budget_calls(r2, shear_fields):
 @pytest.mark.parametrize("name", ["flow", "build_transport_grid", "simulate_lifted_ode", "endpoint_closed_form"])
 def test_step_budget_bounds_the_whole_pass(r2, shear_fields, name):
     # Every segment fits a budget of 10; the pass as a whole does not.
-    total, call = _budget_calls(r2, shear_fields)[name]
-    message = rf"^horizon 0\.05 needs {total} steps of 0\.001, budget is 10$"
-    with pytest.raises(StepBudgetError, match=message):
+    _, call = _budget_calls(r2, shear_fields)[name]
+    with pytest.raises(StepBudgetError, match=r"^horizon 0\.05 needs more steps of 0\.001 than the budget of 10$"):
         call(IntegratorConfig(max_steps=10))
-    with pytest.raises(StepBudgetError, match=rf"needs {total} steps of 0\.001, budget is {total - 1}$"):
-        call(IntegratorConfig(max_steps=total - 1))
+
+
+@pytest.mark.parametrize("name", ["build_transport_grid", "simulate_lifted_ode", "endpoint_closed_form"])
+def test_step_budget_names_the_total_of_the_segments(r2, shear_fields, name):
+    # 0.05 / 0.001 = 50 steps fit a budget of 50; the segments, each rounded up, do not.
+    total, call = _budget_calls(r2, shear_fields)[name]
+    for budget in (50, total - 1):
+        with pytest.raises(StepBudgetError, match=rf"^horizon 0\.05 needs {total} steps of 0\.001, budget is {budget}$"):
+            call(IntegratorConfig(max_steps=budget))
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
