@@ -4,7 +4,7 @@ The grammar covers numeric literals, named variables, +, -, *, /, unary
 minus, parentheses, and the functions sin, cos, exp (one argument) and
 pow (two arguments).  Parsing produces sympy expressions so that every
 expression-defined field carries exact derivatives; evaluation goes
-through lambdify.
+through lambdify, with one memoized printer per field.
 """
 
 from __future__ import annotations
@@ -12,15 +12,21 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from typing import Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from .errors import ExpressionError
 from .manifold import ChartManifold, VectorField
 
 _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow": (None, 2)}
+
+# The smallest positive float (subnormal).
+_FLOAT_TINY = math.ldexp(1.0, -1074)
+_OUT_OF_RANGE = "result is undefined or out of the float range"
 
 # What sympy reduces a division by zero or pow(0, negative) to.
 _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
@@ -99,11 +105,11 @@ class _Parser:
     def expression(self):
         node = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                node = node + rhs if text == "+" else node - rhs
+                node = _in_float_range(node + rhs if text == "+" else node - rhs, pos)
             else:
                 return node
 
@@ -114,7 +120,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = node * rhs if text == "*" else _defined(node / rhs, pos)
+                node = _in_float_range(node * rhs if text == "*" else _defined(node / rhs, pos), pos)
             else:
                 return node
 
@@ -150,7 +156,7 @@ class _Parser:
                 fn, arity = _FUNCTIONS[text]
                 if len(args) != arity:
                     raise ExpressionError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
-                return _defined(args[0] ** args[1], pos) if text == "pow" else fn(args[0])
+                return _in_float_range(_power(args[0], args[1], pos) if text == "pow" else fn(args[0]), pos)
             if text not in self.symbols:
                 known = ", ".join(sorted(self.symbols))
                 raise ExpressionError(f"unknown variable {text!r} (known: {known})", pos)
@@ -161,6 +167,35 @@ class _Parser:
             return node
         label = repr(text) if text else "end of input"
         raise ExpressionError(f"unexpected {label}", pos)
+
+
+def _magnitude(constant) -> float:
+    """``abs`` of a constant expression to 5 digits; inf past the float range, nan if undefined."""
+    return abs(complex(constant.evalf(5)))
+
+
+def _power(base, exponent, pos: int):
+    """``base ** exponent``, unless a constant power lies outside the float range.
+
+    Sympy computes a power of rationals exactly, so a tower such as
+    ``pow(2, pow(3, pow(3, 3)))`` would not finish; the magnitude of a
+    constant power is evaluated first.
+    """
+    if base.is_number and exponent.is_number and not base.is_zero:
+        if not _FLOAT_TINY <= _magnitude(sp.Pow(base, exponent, evaluate=False)) <= sys.float_info.max:
+            raise ExpressionError(_OUT_OF_RANGE, pos)
+    return _defined(base**exponent, pos)
+
+
+def _in_float_range(node, pos: int):
+    """``node``, unless it is a constant that is undefined or beyond the float range.
+
+    Sympy evaluates functions of constants, and ``sin`` of a constant as
+    large as ``exp(exp(31.6))`` would not finish.
+    """
+    if node.is_number and not _magnitude(node) <= sys.float_info.max:
+        raise ExpressionError(_OUT_OF_RANGE, pos)
+    return node
 
 
 def _defined(node, pos: int):
@@ -198,20 +233,59 @@ def field_from_expressions(
     return field_from_symbolic(manifold, column, args, name)
 
 
+def _printer() -> NumPyPrinter:
+    """The printer ``lambdify`` would build for ``modules="numpy"``, with ``_print`` memoized.
+
+    A field compiles its coefficients and later its kernel with one such
+    printer, so each column entry and each repeated sub-tree is printed
+    once.  The memo key holds the keyword arguments and whether the call
+    is top-level, because sympy prints a top-level Float in full and a
+    nested one stripped of trailing zeros.
+    """
+    printer = NumPyPrinter(
+        {
+            "fully_qualified_modules": False,
+            "inline": True,
+            "allow_unknown_functions": True,
+            "user_functions": {},
+        }
+    )
+    plain = printer._print
+    memo = {}
+
+    def print_once(expr, **kwargs):
+        key = (expr, tuple(sorted(kwargs.items())), printer._print_level == 0)
+        if key not in memo:
+            memo[key] = plain(expr, **kwargs)
+        return memo[key]
+
+    printer._print = print_once
+    return printer
+
+
+def _compile(printer: NumPyPrinter, args, exprs: list):
+    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, with no docstring render."""
+    return sp.lambdify(
+        args, exprs, modules="numpy", printer=printer, use_imps=False, docstring_limit=0
+    )
+
+
 def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: str) -> VectorField:
     """Wrap a sympy column matrix as a VectorField.
 
     The coefficient vector compiles to one function here.  On the first
     ``jacobian_at`` the Jacobian is differentiated and compiled together
     with the coefficients into the field's ``kernel``, one function that
-    returns both.  Only a field without powers is ``vectorized``: numpy
-    rounds ``x**k`` on arrays differently from ``x**k`` on one number.
+    returns both.  The symbolic Jacobian is formed at most once: ``sym``
+    carries it, as a cached function, to every bracket that takes the
+    field as an operand.  Only a field without powers is ``vectorized``:
+    numpy rounds ``x**k`` on arrays differently from ``x**k`` on one number.
     """
     n = manifold.dim
-    f_vec = sp.lambdify(args, list(column), modules="numpy")
-    f_kernel = functools.cache(
-        lambda: sp.lambdify(args, list(column) + list(column.jacobian(args)), modules="numpy")
-    )
+    printer = _printer()
+    jacobian = functools.cache(lambda: column.jacobian(args))
+    f_vec = _compile(printer, args, list(column))
+    f_kernel = functools.cache(lambda: _compile(printer, args, list(column) + list(jacobian())))
 
     def func(x):
         return f_vec(*x)
@@ -227,7 +301,7 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
         func=func,
         jac=jac,
         name=name,
-        sym=(column, tuple(args)),
+        sym=(column, tuple(args), jacobian),
         kernel=kernel,
         vectorized=not column.has(sp.Pow),
     )
@@ -252,7 +326,7 @@ def fiber_dynamics_from_expressions(
     args += [table[f"y{i + 1}"] for i in range(n)]
     args += [table[f"u{i + 1}"] for i in range(control_dim)]
     parsed = [parse_expression(src, table) for src in exprs]
-    f_vec = sp.lambdify(args, parsed, modules="numpy")
+    f_vec = _compile(_printer(), args, parsed)
 
     def dynamics(x, y, u):
         u = np.zeros(control_dim) if u is None else np.asarray(u, dtype=float)

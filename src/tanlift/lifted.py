@@ -381,9 +381,12 @@ def ad_criterion(
     """Rank of the iterated brackets of the drift with each control field.
 
     Iterates ad_Y^k Xi(x0) for k = 0..k_max (default 2*dim), stopping
-    early once the rank fills the tangent space or stalls for two
-    consecutive depths.  A full rank is sufficient for fiberwise
-    controllability at every positive horizon.
+    early only on proof: once the rank fills the tangent space, or once
+    every newest bracket is symbolically zero, so that no deeper bracket
+    adds a direction (``saturated``).  A rank that stays the same over
+    depths proves nothing: ad_Y^k (1, x1^3) at the origin adds (0, 6) only
+    at depth 3.  A full rank is sufficient for fiberwise controllability
+    at every positive horizon.
     """
     dim = sys.manifold.dim
     if k_max is None:
@@ -399,7 +402,9 @@ def ad_criterion(
         k_used = k
         if basis.rank == dim:
             break
-        if k >= 2 and ranks[-1] == ranks[-2] == ranks[-3]:
+        # A structural zero is a proof; sympy's is_zero costs milliseconds
+        # per column and answers "unknown" for nonzero brackets anyway.
+        if all(B.sym is not None and all(c == 0 for c in B.sym[0]) for B in current):
             saturated = True
             break
     depth = ranks.index(basis.rank)

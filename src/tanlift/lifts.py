@@ -105,9 +105,9 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     if X.sym is not None and Y.sym is not None:
         from .expressions import field_from_symbolic
 
-        col_x, args = X.sym
-        col_y, _ = Y.sym
-        column = col_y.jacobian(args) * col_x - col_x.jacobian(args) * col_y
+        col_x, args, jac_x = X.sym
+        col_y, _, jac_y = Y.sym
+        column = jac_y() * col_x - jac_x() * col_y
         return field_from_symbolic(X.manifold, column, args, name)
 
     def func(x):

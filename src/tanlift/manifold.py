@@ -121,7 +121,8 @@ class VectorField:
     ``func`` maps a raw coordinate vector to the coefficient vector; the
     optional ``jac`` maps it to the dim x dim matrix of partial derivatives
     d(coeff_i)/d(x_j).  Fields built from coefficient expressions carry a
-    symbolic payload in ``sym`` (a sympy column matrix over x1..xn), which
+    symbolic payload in ``sym``: a sympy column matrix over x1..xn, those
+    symbols, and a cached function that returns the column's Jacobian.  It
     makes Lie-bracket recursion exact; hand-built fields fall back to
     central finite differences.
 

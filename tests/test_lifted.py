@@ -355,12 +355,34 @@ def test_ad_criterion_commuting_at_depth_zero(s2, commuting_system):
 
 
 def test_ad_criterion_degenerate_control_equals_drift(s2):
-    Y = constant_field(s2, [0.0, 1.0], "Y")
-    sys = LiftedSystem(s2, Y, (Y,))
-    result = ad_criterion(sys, s2.point([0.8, 0.3]))
+    # [Y, Y] = 0 is a proof only for a symbolic field; numeric brackets run to k_max.
+    symbolic = field_from_expressions(s2, ["0", "1"], "Y")
+    numeric = constant_field(s2, [0.0, 1.0], "Y")
+    for Y, saturated, k_used in ((symbolic, True, 1), (numeric, False, 4)):
+        result = ad_criterion(LiftedSystem(s2, Y, (Y,)), s2.point([0.8, 0.3]))
+        assert not result.satisfied
+        assert result.basis.rank == 1
+        assert (result.saturated, result.k_used) == (saturated, k_used)
+
+
+@pytest.mark.parametrize("power", [3, 5])
+def test_ad_criterion_runs_past_a_rank_stall(r2, power):
+    # The rank stays 1 up to depth power - 1; ad_Y^power X = (0, power!) fills it.
+    Y = field_from_expressions(r2, ["1", "0"], "Y")
+    X = field_from_expressions(r2, ["1", f"pow(x1, {power})"], "X1")
+    result = ad_criterion(LiftedSystem(r2, Y, (X,)), r2.point([0.0, 0.0]), 8)
+    assert result.satisfied
+    assert not result.saturated
+    assert result.depth == result.k_used == power
+
+
+def test_ad_criterion_commuting_pair_saturates_at_depth_one(r2):
+    Y = field_from_expressions(r2, ["1", "0"], "Y")
+    X = field_from_expressions(r2, ["exp(x2)", "0"], "X1")
+    result = ad_criterion(LiftedSystem(r2, Y, (X,)), r2.point([0.0, 0.0]), 8)
     assert not result.satisfied
-    assert result.basis.rank == 1
     assert result.saturated
+    assert (result.basis.rank, result.k_used) == (1, 1)
 
 
 def test_ad_criterion_depth_guard(r2, shear_system):
