@@ -24,7 +24,9 @@ from .lifts import (
     function_lift_eval,
     vertical_lift,
 )
-from .manifold import ChartManifold, VectorField, dprojection, sample_tangent_points
+from .manifold import DEFAULT_DERIV_STEP, ChartManifold, VectorField, dprojection, sample_tangent_points
+
+_DEFAULT_SAMPLES = 50
 
 # Each identity: the key of its running max, its name in the report, and
 # the tolerance its max residual is held to.  Records follow this order.
@@ -97,7 +99,7 @@ def _derived_function_lift(X: VectorField, kind: str, f, grad, hess) -> Function
 def run_identity_battery(
     manifold: ChartManifold,
     fields: Sequence[VectorField],
-    samples: int = 50,
+    samples: int = _DEFAULT_SAMPLES,
     seed: int = 42,
 ) -> list:
     """Check the lift identities over all ordered field pairs.
@@ -136,7 +138,7 @@ def run_identity_battery(
     ]
     names = {key: name for key, name, _ in IDENTITIES}
     worst = dict.fromkeys(names, 0.0)
-    h = 1e-5
+    h = DEFAULT_DERIV_STEP
 
     def note(key, residual):
         if not np.isfinite(residual):

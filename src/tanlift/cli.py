@@ -23,8 +23,9 @@ from . import __version__
 from .battery import run_identity_battery
 from .controls import ControlSignal
 from .errors import ExpressionError, ScenarioError, TanliftError
-from .flows import IntegratorConfig
+from .flows import DEFAULT_CONFIG, IntegratorConfig
 from .lifted import (
+    _DEFAULT_GRID,
     ad_criterion,
     apply_LT,
     build_transport_grid,
@@ -35,7 +36,7 @@ from .lifted import (
 from .lifts import base_lie_bracket
 from .reportio import dumps, trajectory_rows, write_csv
 from .scenario import Scenario, load_scenario
-from .subspace import SubspaceBasis
+from .subspace import DEFAULT_RANK_TOL, SubspaceBasis
 from .vertical import (
     fiber_controllable_vertical,
     reachable_vertical,
@@ -80,7 +81,13 @@ class _Run:
             return self.args.grid
         if self.scenario.lifted is not None and self.scenario.lifted.grid is not None:
             return self.scenario.lifted.grid
-        return 64
+        return _DEFAULT_GRID
+
+    def lifted_report(self):
+        block = self.scenario.lifted
+        return fiber_controllability_report(
+            block.system, block.initial, block.horizon, self.grid, self.args.rank_tol, self.cfg
+        )
 
     def config_payload(self, command: str) -> dict:
         return {
@@ -191,8 +198,6 @@ def _simulate_lifted(run: _Run) -> dict:
 
 def cmd_simulate(run: _Run) -> tuple:
     scenario = run.scenario
-    if scenario.vertical is None and scenario.lifted is None:
-        raise ScenarioError("simulate needs a vertical_system or lifted_system block")
     payload = {}
     if scenario.vertical is not None:
         payload["vertical"] = _simulate_vertical(run)
@@ -203,8 +208,6 @@ def cmd_simulate(run: _Run) -> tuple:
 
 def cmd_controllability(run: _Run) -> tuple:
     scenario = run.scenario
-    if scenario.vertical is None and scenario.lifted is None:
-        raise ScenarioError("controllability needs a vertical_system or lifted_system block")
     payload = {}
     negative = False
     if scenario.vertical is not None and scenario.vertical.is_affine:
@@ -219,14 +222,7 @@ def cmd_controllability(run: _Run) -> tuple:
         negative = negative or not report.controllable
     if scenario.lifted is not None:
         block = scenario.lifted
-        report = fiber_controllability_report(
-            block.system,
-            block.initial,
-            block.horizon,
-            N=run.grid,
-            tol=run.args.rank_tol,
-            cfg=run.cfg,
-        )
+        report = run.lifted_report()
         ad = ad_criterion(block.system, block.initial.base, block.k_max, run.args.rank_tol)
         payload["lifted"] = {
             "horizon": report.horizon,
@@ -248,8 +244,6 @@ def cmd_controllability(run: _Run) -> tuple:
 
 def cmd_reachable(run: _Run) -> tuple:
     scenario = run.scenario
-    if scenario.vertical is None and scenario.lifted is None:
-        raise ScenarioError("reachable needs a vertical_system or lifted_system block")
     payload = {}
     if scenario.vertical is not None and scenario.vertical.is_affine:
         block = scenario.vertical
@@ -261,15 +255,12 @@ def cmd_reachable(run: _Run) -> tuple:
             "horizon": rset.horizon,
         }
     if scenario.lifted is not None:
-        block = scenario.lifted
-        report = fiber_controllability_report(
-            block.system, block.initial, block.horizon, run.grid, run.args.rank_tol, run.cfg
-        )
+        report = run.lifted_report()
         payload["lifted"] = {
             "anchor": _tangent_payload(report.anchor),
             "basis": _basis_payload(report.image_basis),
             "controllable": report.verdict_transport,
-            "horizon": block.horizon,
+            "horizon": scenario.lifted.horizon,
         }
     return payload, EXIT_OK
 
@@ -357,6 +348,7 @@ def cmd_brackets(run: _Run) -> tuple:
     return payload, EXIT_OK
 
 
+_SYSTEM_COMMANDS = ("simulate", "controllability", "reachable")
 _COMMANDS = {
     "lift-check": cmd_lift_check,
     "simulate": cmd_simulate,
@@ -392,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     parser.add_argument("--seed", type=int, default=42, help="RNG seed for sampled checks")
     step = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-    parser.add_argument("--step", type=step, default=1e-3, help="RK4 step size")
+    parser.add_argument("--step", type=step, default=DEFAULT_CONFIG.step, help="RK4 step size")
     budget = _flag(int, lambda v: v >= 1, "an integer >= 1")
-    parser.add_argument("--max-steps", type=budget, default=1_000_000, help="RK4 step budget")
+    parser.add_argument("--max-steps", type=budget, default=DEFAULT_CONFIG.max_steps, help="RK4 step budget")
     grid = _flag(int, lambda v: v >= 2, "an integer >= 2")
-    parser.add_argument("--grid", type=grid, default=None, help="transport grid segments, default 64")
+    parser.add_argument("--grid", type=grid, default=None, help=f"transport grid segments, default {_DEFAULT_GRID}")
     tol = _flag(float, lambda v: 0 < v < 1, "a number in (0, 1)")
-    parser.add_argument("--rank-tol", type=tol, default=1e-8, help="relative singular value cutoff")
+    parser.add_argument("--rank-tol", type=tol, default=DEFAULT_RANK_TOL, help="relative singular value cutoff")
     parser.add_argument("--out", default=None, help="directory for reports and CSV trajectories")
     return parser
 
@@ -412,6 +404,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         run = _Run(args)
+        if args.command in _SYSTEM_COMMANDS and run.scenario.vertical is None and run.scenario.lifted is None:
+            raise ScenarioError(f"{args.command} needs a vertical_system or lifted_system block")
         payload, code = _COMMANDS[args.command](run)
         run.emit(args.command, payload, started)
     except (ScenarioError, ExpressionError) as err:

@@ -276,22 +276,25 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     The coefficient vector compiles to one function here.  On the first
     ``jacobian_at`` the Jacobian is differentiated and compiled together
     with the coefficients into the field's ``kernel``, one function that
-    returns both.  The symbolic Jacobian is formed at most once: ``sym``
-    carries it, as a cached function, to every bracket that takes the
-    field as an operand.  Only a field without powers is ``vectorized``:
-    numpy rounds ``x**k`` on arrays differently from ``x**k`` on one number.
+    returns both; the printer the two compiles share is then dropped.  The
+    symbolic Jacobian is formed at most once: ``sym`` carries it, as a
+    cached function, to every bracket that takes the field as an operand.
+    Only a field without powers is ``vectorized``: numpy rounds ``x**k``
+    on arrays differently from ``x**k`` on one number.
     """
     n = manifold.dim
-    printer = _printer()
+    printer, f_kernel = _printer(), None
     jacobian = functools.cache(lambda: column.jacobian(args))
     f_vec = _compile(printer, args, list(column))
-    f_kernel = functools.cache(lambda: _compile(printer, args, list(column) + list(jacobian())))
 
     def func(x):
         return f_vec(*x)
 
     def kernel(x):
-        return f_kernel()(*x)
+        nonlocal printer, f_kernel
+        if f_kernel is None:
+            f_kernel, printer = _compile(printer, args, list(column) + list(jacobian())), None
+        return f_kernel(*x)
 
     def jac(x):
         return np.array(kernel(x)[n:], dtype=float).reshape(n, n)

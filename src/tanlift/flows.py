@@ -223,11 +223,9 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
     and RK4 treats every coordinate alike, so the base is integrated first
     and the fiber after it, with the values of RK4 on the whole bundle bit
     for bit.
-    ``sys.base_pass(x0, boundaries, steps, u)`` returns the base rows, or
-    None for a base that does not move, and ``rhs_for(k)``: the fiber
-    right-hand side on segment k, called once per RK4 stage in order.  A
-    base that does not move has rows x0, x0 + 0.0, ...: RK4 adds a zero
-    velocity, which turns a -0.0 coordinate into +0.0.  Before any step,
+    ``sys.base_pass(x0, boundaries, steps, u)`` returns the base rows and
+    ``rhs_for(k)``: the fiber right-hand side on segment k, called once
+    per RK4 stage in order.  Before any step,
     ``sys._check_start(v0, u)`` evaluates the system at its start, so a
     field or fiber dynamics that is not finite there is named, and the
     step budget is checked for the whole pass.
@@ -235,22 +233,20 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
     sys._check_start(v0, u)
     _check_budget(cfg, boundaries, cfg.steps_for)
-    x0 = v0.base
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bases, rhs_for = sys.base_pass(x0, boundaries, cfg.steps_for, u)
+        bases, rhs_for = sys.base_pass(v0.base, boundaries, cfg.steps_for, u)
         times, fibers, _ = rk4_segments(rhs_for, v0.fiber, boundaries, cfg.steps_for)
-    if bases is None:
-        bases = np.vstack([x0.coords, np.broadcast_to(x0.coords + 0.0, (len(times) - 1, x0.dim))])
     check_trajectory(sys.manifold, times, bases, fibers)
     return TangentTrajectory(manifold=sys.manifold, times=times, bases=bases, fibers=fibers)
 
 
-def still_base_pass(x0: BasePoint, u, rhs_at):
+def still_base_pass(x0: BasePoint, boundaries, steps, u, rhs_at):
     """``base_pass`` of a system whose base does not move.
 
-    ``rhs_at(x, u_k)`` is the fiber right-hand side over base x under the
-    input u_k of one segment.  The first stage is at x0 and every later
-    one at x0 + 0.0, as in RK4 of the whole bundle.
+    The base is x0 in the first row and at the first RK4 stage, and x0 + 0.0
+    after them: RK4 of the whole bundle adds a zero velocity, which turns
+    -0.0 into +0.0.  ``rhs_at(x, u_k)`` is the fiber right-hand side over
+    base x under the input u_k of one segment.
     """
     moved = x0.coords + 0.0
 
@@ -262,7 +258,8 @@ def still_base_pass(x0: BasePoint, u, rhs_at):
         first, stages = rhs_at(x0.coords, u_k), itertools.count()
         return lambda t, y: (rhs if next(stages) else first)(t, y)
 
-    return None, rhs_for
+    n_steps = sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
+    return np.vstack([x0.coords, np.broadcast_to(moved, (n_steps, x0.dim))]), rhs_for
 
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:

@@ -35,8 +35,9 @@ from .subspace import DEFAULT_RANK_TOL, SubspaceBasis, solve_in_span, span_basis
 
 _BOUNDARY_RTOL = 1e-9
 _TARGET_BASE_TOL = 1e-6
-# The last transport pass of ``_transport_segments``: (key, system,
-# manifold, grid), or None.
+_DEFAULT_GRID = 64
+# The last transport pass of ``_transport_segments``: (system, manifold,
+# key, grid), or None.
 _transport_memo = None
 
 
@@ -158,20 +159,19 @@ def _transport_segments(
     The transport operator is fixed by the system, the base point, the
     node times and the integrator, so the closed form, ``L_T``, the
     reachable set and steering all read the same grid.  The last grid is
-    kept.  A hit needs the very same system and manifold objects (the
-    memo holds both, so their ids cannot be reused while it lives) and
-    the same bytes of x0 and the boundaries; fields are pure, so a second
-    pass would repeat every bit.  A pass that raises is not kept.  The
-    memo is read once and replaced whole, so two threads may both miss
-    and run the same pass, and each gets its own key's grid.
+    kept.  A hit needs the very same system and manifold objects, the same
+    bytes of x0 and the boundaries and an equal config; fields are pure,
+    so a second pass would repeat every bit.  A pass that raises is not
+    kept.  The memo is read once and replaced whole, so two threads may
+    both miss and run the same pass, and each gets its own key's grid.
     """
     global _transport_memo
-    key = (id(sys), id(x0.manifold), x0.coords.tobytes(), boundaries.tobytes(), cfg)
+    key = (x0.coords.tobytes(), boundaries.tobytes(), cfg)
     memo = _transport_memo
-    if memo is not None and memo[0] == key and memo[1] is sys and memo[2] is x0.manifold:
+    if memo is not None and memo[0] is sys and memo[1] is x0.manifold and memo[2] == key:
         return memo[3]
     grid = _transport_pass(sys, x0, boundaries, cfg)
-    _transport_memo = (key, sys, x0.manifold, grid)
+    _transport_memo = (sys, x0.manifold, key, grid)
     return grid
 
 
@@ -422,7 +422,7 @@ def fiber_controllability_report(
     sys: LiftedSystem,
     v0: TangentPoint,
     T: float,
-    N: int = 64,
+    N: int = _DEFAULT_GRID,
     tol: float = DEFAULT_RANK_TOL,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> ControllabilityReport:
@@ -464,7 +464,7 @@ def steer_lifted(
     v0: TangentPoint,
     target: TangentPoint,
     T: float,
-    N: int = 64,
+    N: int = _DEFAULT_GRID,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> ControlSignal:
     """Piecewise-constant control reaching a target tangent vector at time T.

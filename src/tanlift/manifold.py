@@ -198,7 +198,7 @@ class VectorField:
 
 @dataclass(frozen=True)
 class DriftControlSystem:
-    """A drift field plus at least one control field, all on one chart."""
+    """A drift field plus at least one control field, all on charts of one dimension and box."""
 
     manifold: ChartManifold
     drift: VectorField
@@ -211,6 +211,8 @@ class DriftControlSystem:
         for f in (self.drift, *self.controls):
             if f.manifold.dim != self.manifold.dim:
                 raise ValueError(f"field {f.name} has wrong dimension")
+            if not all(map(np.array_equal, f.manifold.bounds, self.manifold.bounds)):
+                raise ValueError(f"field {f.name} is defined on chart '{f.manifold.name}' with other bounds")
 
     @property
     def control_dim(self) -> int:

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .battery import _DEFAULT_SAMPLES
 from .controls import ControlSignal
 from .errors import ExpressionError, ScenarioError
 from .expressions import fiber_dynamics_from_expressions, field_from_expressions
@@ -156,6 +157,14 @@ def _drift_and_controls(fields: dict, block: dict, context: str) -> tuple:
     return drift, tuple(controls)
 
 
+def _system_block(doc: dict, context: str, manifold: ChartManifold) -> tuple:
+    """The object, horizon and initial point of the system block ``context``."""
+    block = _object(doc[context], context)
+    raw = _require(block, "horizon", context)
+    horizon = _number(raw, f"{context}.horizon", "a finite positive number", _finite_positive)
+    return block, horizon, _initial_point(manifold, block, context)
+
+
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a path, JSON string, or already-loaded dict."""
     if isinstance(source, dict):
@@ -191,18 +200,13 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError(f"field {fname!r}: coefficients must be a list of strings, got {exprs!r}")
         try:
             fields[fname] = field_from_expressions(manifold, exprs, name=fname)
-        except ExpressionError as err:
-            raise ScenarioError(f"field {fname!r}: {err}") from err
-        except ValueError as err:
+        except (ExpressionError, ValueError) as err:
             raise ScenarioError(f"field {fname!r}: {err}") from err
 
     vertical = None
     if "vertical_system" in doc:
         context = "vertical_system"
-        block = _object(doc[context], context)
-        raw = _require(block, "horizon", context)
-        horizon = _number(raw, f"{context}.horizon", "a finite positive number", _finite_positive)
-        initial = _initial_point(manifold, block, context)
+        block, horizon, initial = _system_block(doc, context, manifold)
         if "fiber_dynamics" in block:
             control_dim = block.get("control_dim", 0)
             _number(control_dim, f"{context}.control_dim", "an integer >= 0", lambda v: v >= 0, True)
@@ -226,10 +230,7 @@ def load_scenario(source) -> Scenario:
     lifted = None
     if "lifted_system" in doc:
         context = "lifted_system"
-        block = _object(doc[context], context)
-        raw = _require(block, "horizon", context)
-        horizon = _number(raw, f"{context}.horizon", "a finite positive number", _finite_positive)
-        initial = _initial_point(manifold, block, context)
+        block, horizon, initial = _system_block(doc, context, manifold)
         drift, controls = _drift_and_controls(fields, block, context)
         system = LiftedSystem(manifold=manifold, drift=drift, controls=controls)
         control = _control(block, horizon, len(controls), context)
@@ -272,7 +273,7 @@ def load_scenario(source) -> Scenario:
     check_spec = _object(doc.get("lift_check", {}), "lift_check")
     check_fields = check_spec.get("fields", sorted(fields))
     _named_fields(fields, check_fields, "lift_check", "fields")
-    samples = check_spec.get("samples", 50)
+    samples = check_spec.get("samples", _DEFAULT_SAMPLES)
     _number(samples, "lift_check.samples", "an integer >= 1", lambda v: v >= 1, True)
 
     return Scenario(

@@ -38,7 +38,7 @@ class VerticalAffineSystem(DriftControlSystem):
                     v += ui * X.value(x)
             return lambda t, y: v
 
-        return still_base_pass(x0, u, rhs_at)
+        return still_base_pass(x0, boundaries, steps, u, rhs_at)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class GeneralVerticalSystem:
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """The base does not move; only the fiber is integrated."""
         return still_base_pass(
-            x0, u, lambda x, u_k: lambda t, y: np.asarray(self.dynamics(x, y, u_k), dtype=float)
+            x0, boundaries, steps, u, lambda x, u_k: lambda t, y: np.asarray(self.dynamics(x, y, u_k), dtype=float)
         )
 
 

@@ -373,6 +373,41 @@ def test_bump_convergence_commuting_is_flat(capsys):
     assert payload["order"] is None
 
 
+@pytest.mark.parametrize(
+    "bump, message",
+    [
+        ({"channel": 1}, "bump channel 1 out of range for 1 controls"),
+        ({"t0_fraction": 0.3}, "bump start 0.3 does not land on a node of the 64-segment grid"),
+        ({"epsilon_fractions": [0.3, 0.125]}, "bump width fraction 0.3 must divide the horizon evenly"),
+        ({"t0_fraction": 0.015625}, "bump start 0.015625 is not a boundary of the 8-segment control"),
+    ],
+)
+def test_bump_convergence_rejects_a_bump_off_the_grid(capsys, tmp_path, bump, message):
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    doc["lifted_system"]["bump"].update(bump)
+    code = main(["bump-convergence", "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_brackets_without_a_system_block_use_the_middle_of_the_sample_box(capsys, tmp_path):
+    doc = {"schema": "tanlift-scenario-v1", "manifold": "R2", "fields": {"Y": ["0", "x1"], "X1": ["1", "0"]}}
+    code, report, _ = run_cli(capsys, "brackets", "--scenario", write_scenario(tmp_path, doc))
+    assert code == 0
+    payload = report["payload"]
+    assert payload["point"] == [0.0, 0.0] and "iterated_brackets" not in payload
+    pairs = {(p["a"], p["b"]): p["coefficients"] for p in payload["pairs"]}
+    assert pairs == {("X1", "X1"): [0.0, 0.0], ("X1", "Y"): [0.0, 1.0], ("Y", "X1"): [0.0, -1.0], ("Y", "Y"): [0.0, 0.0]}
+
+
+def test_brackets_need_a_field(capsys, tmp_path):
+    doc = {"schema": "tanlift-scenario-v1", "manifold": "R2", "fields": {}}
+    code = main(["brackets", "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: brackets needs at least one field defined in fields\n"
+
+
 def test_brackets_command(capsys):
     code, report, _ = run_cli(
         capsys, "brackets", "--scenario", str(SCENARIOS / "r2_shear.json")

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import inspect
 import linecache
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from tanlift import (
     field_from_expressions,
     load_scenario,
 )
+from tanlift import expressions
 from tanlift.expressions import _MAX_NESTING, chart_symbols, parse_expression
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -299,3 +301,21 @@ def test_dropped_fields_release_their_generated_source(r2):
     del fields
     gc.collect()
     assert len(linecache.cache) == before
+
+
+def test_a_field_releases_its_printer_once_its_kernel_is_compiled(r2, monkeypatch):
+    # The memoized printer holds every printed sub-tree; only the kernel's
+    # compile still needs it after the coefficients are compiled.
+    printers = []
+    make = expressions._printer
+    monkeypatch.setattr(expressions, "_printer", lambda: printers.append(make()) or printers[-1])
+    X = field_from_expressions(r2, ["x2*sin(x1)", "cos(x1*x2)"], "X")
+    printer = weakref.ref(printers.pop())
+    gc.collect()
+    assert printer() is not None
+    X.kernel(np.array([0.3, 0.7]))
+    gc.collect()
+    assert printer() is None
+    # The compiled kernel still serves every later Jacobian.
+    expected = [[0.7 * np.cos(0.3), np.sin(0.3)], [-0.7 * np.sin(0.21), -0.3 * np.sin(0.21)]]
+    assert np.allclose(X.jacobian_at(np.array([0.3, 0.7])), expected, rtol=1e-15)

@@ -290,6 +290,25 @@ def test_apply_LT_control_refining_grid(r2, shear_system):
     assert np.max(np.abs(out_c - out_f)) <= 1e-9
 
 
+def test_apply_LT_odd_spans_are_linear_and_their_error_falls(s2, s2_fields):
+    # An odd span > 1 is composite Simpson plus one trapezoid tail.  The
+    # sphere drift bends the columns, so the tail is not exact; its error
+    # against the closed form must still fall as the span grows.
+    X0, X1, X2 = s2_fields
+    system = LiftedSystem(s2, X0, (X1, X2))
+    v0 = s2.tangent_point([0.8, 0.3], [0.0, 0.0])
+    u = ControlSignal(horizon=1.0, values=np.array([[0.7, -0.4], [0.2, 1.1]]))
+    w = ControlSignal(horizon=1.0, values=np.array([[-0.3, 0.5], [1.2, 0.1]]))
+    reference = endpoint_closed_form(system, v0, u).fiber
+    errors = []
+    for span in (3, 5, 7):
+        grid = build_transport_grid(system, v0.base, 1.0, 2 * span)
+        errors.append(np.max(np.abs(apply_LT(grid, u) - reference)))
+        combo = ControlSignal(horizon=1.0, values=0.3 * u.values - 1.7 * w.values)
+        assert np.allclose(apply_LT(grid, combo), 0.3 * apply_LT(grid, u) - 1.7 * apply_LT(grid, w), atol=1e-14)
+    assert errors[0] > errors[1] > errors[2] and errors[0] <= 1e-3
+
+
 def test_apply_LT_alignment_errors(r2, shear_system):
     grid = build_transport_grid(shear_system, r2.point([1.0, 0.0]), 1.0, 64)
     with pytest.raises(AlignmentError):
@@ -562,6 +581,23 @@ def test_shared_pass_gives_the_bits_of_a_fresh_one(s2, s2_fields):
     shared, fresh = run(fresh=False), run(fresh=True)
     for a, b in zip(shared, fresh):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_a_drift_from_a_chart_with_other_bounds_is_rejected(r2, s2):
+    # An S2 system with a drift built on R2: the transport pass would check
+    # the drift's flow against R2 and give a verdict from points off the
+    # sphere chart, while the simulator leaves that chart at t = 0.064.
+    exprs = ["0.5*cos(5*x2)", "1"]
+    X1 = field_from_expressions(s2, ["0", "1"], "X1")
+    with pytest.raises(ValueError, match=r"^field Y is defined on chart 'R2' with other bounds$"):
+        LiftedSystem(s2, field_from_expressions(r2, exprs, "Y"), (X1,))
+    # On a chart with the same bounds (a new S2 object) both analyses see the exit.
+    system = LiftedSystem(s2, field_from_expressions(builtin_manifold("S2-spherical"), exprs, "Y"), (X1,))
+    v0 = s2.tangent_point([3.1, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainExitError, match="left the chart domain near t = 0.06"):
+        simulate_lifted_ode(system, v0, None, horizon=1.2)
+    with pytest.raises(DomainExitError, match="left the chart domain near t = 0.06"):
+        fiber_controllability_report(system, v0, 1.2)
 
 
 def test_transport_pass_misses_on_any_changed_input(r2, shear_fields, count_passes):

@@ -130,6 +130,25 @@ def test_lie_bracket_complete_vertical(s2, s2_fields):
     assert np.allclose(lie_bracket(complete_lift(X0), vertical_lift(X1), v), expected)
 
 
+@pytest.mark.parametrize("kinds", [("vertical", "complete"), ("complete", "complete")])
+def test_lie_bracket_closed_forms_agree_with_the_numeric_bracket(s2, kinds):
+    # The exact (vertical, complete) and (complete, complete) branches, on two
+    # S2 fields with no constant coefficient.
+    Y = field_from_expressions(s2, ["cos(x2)*sin(x1)", "x2*sin(x1) + cos(x1)"], "Y")
+    X = field_from_expressions(s2, ["exp(x2)*cos(x1)", "sin(x2)"], "X")
+    lifts = {"vertical": vertical_lift, "complete": complete_lift}
+    A, B = lifts[kinds[0]](X), lifts[kinds[1]](Y)
+    v = s2.tangent_point([0.8, 0.3], [0.4, -0.2])
+    exact = lie_bracket(A, B, v)
+    numeric = lie_bracket(A, B, v, method="numeric")
+    assert np.max(np.abs(exact - numeric)) <= 1e-9
+    base = base_lie_bracket(X, Y).at(v.base)
+    if kinds == ("vertical", "complete"):
+        assert np.array_equal(exact[:2], [0.0, 0.0]) and np.allclose(exact[2:], base, atol=1e-14)
+    else:
+        assert np.allclose(exact[:2], base, atol=1e-14)
+
+
 def test_lie_bracket_antisymmetric_in_self(s2, s2_fields):
     X0, _, _ = s2_fields
     v = s2.tangent_point([0.9, -0.2], [0.4, 0.1])

@@ -153,6 +153,18 @@ def test_systems_need_a_control_and_fields_of_the_chart_dimension(r2, system):
     assert built.controls == (Y, Y) and built.control_dim == 2
 
 
+@pytest.mark.parametrize("system", [LiftedSystem, VerticalAffineSystem])
+def test_systems_need_fields_of_charts_with_their_bounds(r2, s2, system):
+    Y = field_from_callable(r2, lambda x: x, name="Y")
+    X = field_from_callable(s2, lambda x: x, name="X")
+    with pytest.raises(ValueError, match=r"^field Y is defined on chart 'R2' with other bounds$"):
+        system(s2, Y, (X,))
+    with pytest.raises(ValueError, match=r"^field X is defined on chart 'S2-spherical' with other bounds$"):
+        system(r2, Y, (X,))
+    twin = field_from_callable(builtin_manifold("S2-spherical"), lambda x: x, name="Z")
+    assert system(s2, twin, (X, twin)).control_dim == 2
+
+
 def test_domain_enforced_on_points(s2):
     with pytest.raises(ChartDomainError):
         s2.point([0.0, 0.0])
