@@ -270,6 +270,11 @@ def _compile(printer: NumPyPrinter, args, exprs: list):
     )
 
 
+def _power_free(exprs) -> bool:
+    """No entry has a power, so numpy arrays, numpy scalars and Python floats evaluate it alike."""
+    return not any(expr.has(sp.Pow) for expr in exprs)
+
+
 def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: str) -> VectorField:
     """Wrap a sympy column matrix as a VectorField.
 
@@ -280,10 +285,15 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     symbolic Jacobian is formed at most once: ``sym`` carries it, as a
     cached function, to every bracket that takes the field as an operand.
     Only a field without powers is ``vectorized``: numpy rounds ``x**k``
-    on arrays differently from ``x**k`` on one number.
+    on arrays differently from ``x**k`` on one number.  By the same test
+    on all its entries, a kernel without powers is called on Python floats,
+    which is cheaper and rounds alike.  One with powers keeps numpy
+    scalars: on floats ``1/x`` raises ZeroDivisionError, a large ``x**2``
+    OverflowError, and ``(-1.0)**0.5`` is complex.  The test covers the
+    Jacobian too, because x1*sin(x1*x2) has x1**2 in its Jacobian.
     """
     n = manifold.dim
-    printer, f_kernel = _printer(), None
+    printer, f_kernel, on_floats = _printer(), None, False
     jacobian = functools.cache(lambda: column.jacobian(args))
     f_vec = _compile(printer, args, list(column))
 
@@ -291,10 +301,11 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
         return f_vec(*x)
 
     def kernel(x):
-        nonlocal printer, f_kernel
+        nonlocal printer, f_kernel, on_floats
         if f_kernel is None:
-            f_kernel, printer = _compile(printer, args, list(column) + list(jacobian())), None
-        return f_kernel(*x)
+            entries = list(column) + list(jacobian())
+            f_kernel, printer, on_floats = _compile(printer, args, entries), None, _power_free(entries)
+        return f_kernel(*(x.tolist() if on_floats else x))
 
     def jac(x):
         return np.array(kernel(x)[n:], dtype=float).reshape(n, n)
@@ -306,7 +317,7 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
         name=name,
         sym=(column, tuple(args), jacobian),
         kernel=kernel,
-        vectorized=not column.has(sp.Pow),
+        vectorized=_power_free(column),
     )
 
 

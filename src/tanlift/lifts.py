@@ -34,9 +34,11 @@ class LiftedVectorField:
 
     ``func`` maps the concatenated (x, y) vector (length 2n) to the 2n
     coefficient vector; ``at`` checks the base coordinates before calling
-    it, so ``func`` need not check them again.  ``kind`` records whether
-    the field arose as a vertical or complete lift of ``source``, which
-    unlocks exact bracket shortcuts; anything else is ``general``.
+    it, so ``func`` need not check them again.  ``at`` may return
+    non-finite coefficients, without a warning; its callers check them.
+    ``kind`` records whether the field arose as a vertical or complete lift
+    of ``source``, which unlocks exact bracket shortcuts; anything else is
+    ``general``.
     """
 
     manifold: ChartManifold
@@ -52,7 +54,8 @@ class LiftedVectorField:
         if w.shape != (2 * n,):
             raise ValueError(f"expected a vector of length {2 * n}, got shape {w.shape}")
         self.manifold.check(w[:n])
-        out = np.asarray(self.func(w), dtype=float).reshape(-1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.asarray(self.func(w), dtype=float).reshape(-1)
         if out.shape != (2 * n,):
             raise ValueError(f"{self.name} coefficients have length {out.size}, expected {2 * n}")
         return out

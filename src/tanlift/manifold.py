@@ -33,7 +33,9 @@ class ChartManifold:
     ``bounds`` is the open box (lower, upper) of the domain, stored as two
     length-``dim`` arrays; every point or field evaluation checks it first,
     and NaN or +-inf fail it.  ``sample_bounds`` is an optional (low, high)
-    box for seeded random sampling.  A chart equals only itself.
+    box for seeded random sampling.  A box that is empty or NaN in some
+    coordinate, or a sample box outside the domain, is a ValueError naming
+    the chart.  A chart equals only itself.
     """
 
     dim: int
@@ -44,7 +46,28 @@ class ChartManifold:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("manifold dimension must be >= 1")
-        object.__setattr__(self, "bounds", tuple(np.full(self.dim, b, dtype=float) for b in self.bounds))
+        lower, upper = self._box_sides(self.bounds, "bounds")
+        if not (lower < upper).all():
+            raise ValueError(
+                f"bounds of chart '{self.name}' are not an open box: "
+                f"need lower < upper in every coordinate, got {lower.tolist()} and {upper.tolist()}"
+            )
+        object.__setattr__(self, "bounds", (lower, upper))
+        # The box as Python floats, for the fast path of ``check``; an
+        # attribute, not a field, because the fields are the chart's data.
+        object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))
+        if self.sample_bounds is not None:
+            self.sample_box()
+
+    def _box_sides(self, sides, label: str) -> tuple:
+        """A (low, high) pair of scalars or length-``dim`` vectors as two length-``dim`` float arrays."""
+        try:
+            low, high = (np.full(self.dim, side, dtype=float) for side in sides)
+        except (TypeError, ValueError) as err:
+            raise ValueError(
+                f"{label} of chart '{self.name}' must be a (low, high) pair of scalars or length-{self.dim} vectors"
+            ) from err
+        return low, high
 
     def in_domain(self, rows) -> np.ndarray:
         """Per row of a (..., dim) coordinate array: does it lie in the open box?"""
@@ -52,14 +75,28 @@ class ChartManifold:
         return ((lower < rows) & (rows < upper)).all(axis=-1)
 
     def check(self, coords) -> np.ndarray:
-        """Validate a raw coordinate vector against the chart domain."""
-        arr = _as_vector(coords, self.dim, "coordinates")
-        if not self.in_domain(arr):
-            raise ChartDomainError(
-                f"coordinates {arr.tolist()} outside the domain of chart '{self.name}'",
-                coords=arr,
-            )
-        return arr
+        """Validate a raw coordinate vector against the chart domain.
+
+        A float64 array of shape (dim,), such as an RK4 stage point, is
+        returned as it is once its entries pass ``lo < c < hi`` as Python
+        floats, which NaN and +-inf fail as they fail ``in_domain``.  Any
+        other input goes through ``_as_vector`` and ``in_domain``.
+        """
+        if type(coords) is np.ndarray and coords.dtype == float and coords.shape == (self.dim,):
+            arr = coords
+            for c, (lo, hi) in zip(coords.tolist(), self._box):
+                if not lo < c < hi:
+                    break
+            else:
+                return arr
+        else:
+            arr = _as_vector(coords, self.dim, "coordinates")
+            if self.in_domain(arr):
+                return arr
+        raise ChartDomainError(
+            f"coordinates {arr.tolist()} outside the domain of chart '{self.name}'",
+            coords=arr,
+        )
 
     def point(self, coords) -> "BasePoint":
         return BasePoint(self, coords)
@@ -68,10 +105,17 @@ class ChartManifold:
         return TangentPoint(self.point(coords), _as_vector(fiber, self.dim, "fiber"))
 
     def sample_box(self) -> tuple:
-        if self.sample_bounds is not None:
-            low, high = self.sample_bounds
-            return np.asarray(low, float), np.asarray(high, float)
-        return -np.ones(self.dim), np.ones(self.dim)
+        """The (low, high) box of seeded sampling: ``sample_bounds``, else [-1, 1]^dim.
+
+        Both corners must lie in the open domain, so every sampled point does.
+        """
+        sides = (-1.0, 1.0) if self.sample_bounds is None else self.sample_bounds
+        low, high = self._box_sides(sides, "sample_bounds")
+        if not (self.in_domain(low) and self.in_domain(high)):
+            raise ValueError(
+                f"sample box {low.tolist()} to {high.tolist()} of chart '{self.name}' does not lie inside its bounds"
+            )
+        return low, high
 
 
 @dataclass(frozen=True)
@@ -159,8 +203,16 @@ class VectorField:
         return _as_vector(self.func(coords), self.manifold.dim, f"{self.name} coefficients")
 
     def jacobian_at(self, point) -> np.ndarray:
-        """Coefficient Jacobian, analytic when available, else central differences."""
-        return self.value_and_jacobian(self._coords(point))[1]
+        """Coefficient Jacobian at a domain-checked point, analytic when available, else central differences.
+
+        A non-finite entry is an error, as a non-finite value is for ``at``.
+        """
+        coords = self._coords(point)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            jac = self.value_and_jacobian(coords)[1]
+        if not np.isfinite(jac).all():
+            raise NumericalError(f"Jacobian of field {self.name!r} is not finite at x = {coords.tolist()}")
+        return jac
 
     def value_and_jacobian(self, coords: np.ndarray) -> tuple:
         """Coefficients and Jacobian at coordinates the caller has already checked.

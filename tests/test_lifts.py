@@ -227,3 +227,11 @@ def test_expression_fields_give_exact_bracket_chain(r2):
     x = np.array([1.5, 0.0])
     assert np.allclose(B1.at(x), [0.0, -2 * 1.5], atol=1e-14)
     assert np.allclose(B2.at(x), [0.0, 0.0], atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lifts_of_a_field_that_is_not_finite_return_their_values_without_a_warning(r2):
+    X = field_from_expressions(r2, ["pow(x1, 0.5)", "1"], "X")
+    w = np.array([-1.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(complete_lift(X).at(w), [np.nan, 1.0, np.nan, 0.0])
+    np.testing.assert_array_equal(vertical_lift(X).at(w), [0.0, 0.0, np.nan, 1.0])

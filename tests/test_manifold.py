@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from tanlift import (
     ChartDomainError,
     ChartManifold,
     LiftedSystem,
+    NumericalError,
     VectorField,
     VerticalAffineSystem,
     builtin_manifold,
     complete_lift,
     dprojection,
     field_from_callable,
+    field_from_expressions,
     lie_bracket,
     numeric_gradient,
     numeric_jacobian,
@@ -243,3 +246,61 @@ def test_field_output_length_checked(r2):
 def test_sampling_respects_domain(s2, rng):
     for v in sample_tangent_points(s2, 50, rng):
         assert s2.in_domain(v.base.coords)
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        (
+            dict(bounds=(1.0, 0.0)),
+            r"^bounds of chart 'c' are not an open box: .* got \[1\.0, 1\.0\] and \[0\.0, 0\.0\]$",
+        ),
+        (dict(bounds=(0.5, 0.5)), r"bounds of chart 'c' are not an open box"),
+        (dict(bounds=(np.nan, 1.0)), r"bounds of chart 'c' are not an open box: .* got \[nan, nan\]"),
+        (dict(bounds=([0.0, np.nan], [1.0, 1.0])), r"bounds of chart 'c' are not an open box"),
+        (dict(bounds=([0, 0, 0], [1, 1, 1])), r"^bounds of chart 'c' must be a \(low, high\) pair of .* length-2 "),
+        (dict(bounds=(0.0, 1.0, 2.0)), r"^bounds of chart 'c' must be a \(low, high\) pair"),
+        (
+            dict(bounds=(0, 1), sample_bounds=([5, 5], [6, 6])),
+            r"^sample box \[5\.0, 5\.0\] to \[6\.0, 6\.0\] of chart 'c' does not lie inside its bounds$",
+        ),
+        (dict(bounds=(0, 1), sample_bounds=(0.0, 0.5)), r"^sample box .* of chart 'c' does not lie inside its bounds$"),
+        (dict(sample_bounds=([0.0], [1.0, 1.0, 1.0])), r"^sample_bounds of chart 'c' must be a \(low, high\) pair"),
+    ],
+    ids=[
+        "empty",
+        "equal",
+        "nan",
+        "nan-in-one-coordinate",
+        "wrong-length",
+        "three-sides",
+        "sample-box-outside",
+        "sample-box-on-the-boundary",
+        "sample-box-wrong-length",
+    ],
+)
+def test_a_chart_rejects_an_empty_or_nan_box_and_a_sample_box_outside_it(box, message):
+    with pytest.raises(ValueError, match=message):
+        ChartManifold(dim=2, name="c", **box)
+
+
+def test_the_default_sample_box_must_lie_inside_the_bounds():
+    chart = ChartManifold(dim=2, name="c", bounds=(0.0, 1.0))
+    assert chart.in_domain(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^sample box \[-1\.0, -1\.0\] to \[1\.0, 1\.0\] of chart 'c' does not lie"):
+        chart.sample_box()
+    low, high = ChartManifold(dim=3, name="c3", bounds=(-1.5, np.inf)).sample_box()
+    assert np.array_equal(low, -np.ones(3)) and np.array_equal(high, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "expr, point, slope",
+    [("pow(x1, 0.5)", [-1.0, 0.0], 0.25), ("1/x1", [0.0, 0.0], -0.0625)],
+    ids=["pow-of-a-negative", "division-by-zero"],
+)
+def test_a_jacobian_that_is_not_finite_is_a_numerical_error(r2, expr, point, slope):
+    X = field_from_expressions(r2, [expr, "1"], "X")
+    with pytest.raises(NumericalError, match=rf"^Jacobian of field 'X' is not finite at x = {re.escape(str(point))}$"):
+        X.jacobian_at(point)
+    assert np.array_equal(X.jacobian_at([4.0, 0.0]), [[slope, 0.0], [0.0, 0.0]])
