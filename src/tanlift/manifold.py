@@ -78,25 +78,21 @@ class ChartManifold:
         """Validate a raw coordinate vector against the chart domain.
 
         A float64 array of shape (dim,), such as an RK4 stage point, is
-        returned as it is once its entries pass ``lo < c < hi`` as Python
-        floats, which NaN and +-inf fail as they fail ``in_domain``.  Any
-        other input goes through ``_as_vector`` and ``in_domain``.
+        taken as it is; any other input goes through ``_as_vector``.  Its
+        entries must pass ``lo < c < hi`` as Python floats, which NaN and
+        +-inf fail as they fail ``in_domain``.
         """
         if type(coords) is np.ndarray and coords.dtype == float and coords.shape == (self.dim,):
             arr = coords
-            for c, (lo, hi) in zip(coords.tolist(), self._box):
-                if not lo < c < hi:
-                    break
-            else:
-                return arr
         else:
             arr = _as_vector(coords, self.dim, "coordinates")
-            if self.in_domain(arr):
-                return arr
-        raise ChartDomainError(
-            f"coordinates {arr.tolist()} outside the domain of chart '{self.name}'",
-            coords=arr,
-        )
+        for c, (lo, hi) in zip(arr.tolist(), self._box):
+            if not lo < c < hi:
+                raise ChartDomainError(
+                    f"coordinates {arr.tolist()} outside the domain of chart '{self.name}'",
+                    coords=arr,
+                )
+        return arr
 
     def point(self, coords) -> "BasePoint":
         return BasePoint(self, coords)
