@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
-from .errors import ExpressionError
+from .errors import ExpressionError, NumericalError
 from .manifold import ChartManifold, VectorField
 
 _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow": (None, 2)}
@@ -193,9 +193,28 @@ def _in_float_range(node, pos: int):
     Sympy evaluates functions of constants, and ``sin`` of a constant as
     large as ``exp(exp(31.6))`` would not finish.
     """
-    if node.is_number and not _magnitude(node) <= sys.float_info.max:
+    if _beyond_float_range(node):
         raise ExpressionError(_OUT_OF_RANGE, pos)
     return node
+
+
+def _beyond_float_range(node) -> bool:
+    """Is ``node`` a constant that is undefined or beyond the float range?"""
+    return node.is_number and not _magnitude(node) <= sys.float_info.max
+
+
+def _check_constants(entries, label: str) -> None:
+    """Raise NumericalError if an integer or fraction in ``entries`` is beyond the float range.
+
+    The parser rejects such a constant, but sympy can form one when it
+    differentiates: the Jacobian of N*x1*sin(N*x1) has N**2.  Compiled
+    code cannot turn it into a float and would raise OverflowError.  A
+    float constant that large prints as inf, which the evaluation names.
+    """
+    for atom in set().union(*(entry.atoms(sp.Rational) for entry in entries)):
+        # |p/q| can pass the float maximum only when p has 1023 more bits than q.
+        if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and _beyond_float_range(atom):
+            raise NumericalError(f"{label} has a constant beyond the float range")
 
 
 def _defined(node, pos: int):
@@ -295,6 +314,7 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     n = manifold.dim
     printer, f_kernel, on_floats = _printer(), None, False
     jacobian = functools.cache(lambda: column.jacobian(args))
+    _check_constants(column, f"field {name!r}")
     f_vec = _compile(printer, args, list(column))
 
     def func(x):
@@ -303,6 +323,7 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     def kernel(x):
         nonlocal printer, f_kernel, on_floats
         if f_kernel is None:
+            _check_constants(jacobian(), f"Jacobian of field {name!r}")
             entries = list(column) + list(jacobian())
             f_kernel, printer, on_floats = _compile(printer, args, entries), None, _power_free(entries)
         return f_kernel(*(x.tolist() if on_floats else x))

@@ -5,6 +5,12 @@ the variational equation dJ/dt = J_Y(x(t)) J jointly with the base flow,
 so Jacobians are available at every grid node of a single pass.
 Transported control directions (the pullback of a field along the drift
 flow into the initial tangent space) come from one linear solve per node.
+
+The RK4 state is a list of Python scalars, because a state of 2 to n + n²
+entries costs more in numpy's per-call overhead than in arithmetic.  The
+matrix products of a stage, J_Y·J in the joint pass and J_s·y in a lifted
+fiber pass, stay numpy ``@`` on C-contiguous arrays: BLAS fuses their
+multiply-adds, which a product written in Python floats would not.
 """
 
 from __future__ import annotations
@@ -112,36 +118,46 @@ class TangentTrajectory:
 
 
 def _rk4_step(f, t, z, h):
+    """One classical RK4 step of a state held as a list of scalars.
+
+    Each element is formed in numpy's order of operations for ``z + (0.5*h)*k``
+    and ``z + (h/6)*(((k1 + 2k2) + 2k3) + k4)``, so it rounds as the
+    element-wise ufuncs on arrays would.
+    """
+    half = 0.5 * h
     k1 = f(t, z)
-    k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
-    k4 = f(t + h, z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + half, [a + half * b for a, b in zip(z, k1)])
+    k3 = f(t + half, [a + half * b for a, b in zip(z, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(z, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
 def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
-    """RK4 over [t0, t1] in n_steps equal steps; returns (times, states).
+    """RK4 over [t0, t1] in n_steps equal steps; returns (times, states) arrays.
 
+    The state is stepped as a list of Python floats: ``f(t, z)`` takes
+    one such list and returns the derivative as a sequence of scalars.
     ChartDomainError raised by the right-hand side is rewrapped as a
     DomainExitError carrying the time of the failing step, or as a
     NumericalError when the rejected coordinates are not finite.
     """
     times = np.linspace(t0, t1, n_steps + 1)
-    states = np.empty((n_steps + 1, z0.size))
-    states[0] = z0
-    h = (t1 - t0) / n_steps if n_steps else 0.0
-    for k in range(n_steps):
+    states = [np.asarray(z0, dtype=float).tolist()]
+    # Python floats throughout: a numpy scalar h or t would make every element one.
+    h = float(t1 - t0) / n_steps if n_steps else 0.0
+    for t in times[:-1].tolist():
         try:
-            states[k + 1] = _rk4_step(f, times[k], states[k], h)
+            states.append(_rk4_step(f, t, states[-1], h))
         except ChartDomainError as err:
             if err.coords is not None and not np.isfinite(err.coords).all():
-                raise NumericalError(f"non-finite state at t = {times[k]:.6g}") from err
+                raise NumericalError(f"non-finite state at t = {t:.6g}") from err
             raise DomainExitError(
-                f"trajectory left the chart domain near t = {times[k]:.6g}: {err}",
+                f"trajectory left the chart domain near t = {t:.6g}: {err}",
                 coords=err.coords,
-                time=float(times[k]),
+                time=t,
             ) from err
-    return times, states
+    return times, np.array(states)
 
 
 def rk4_segments(rhs_for, z0: np.ndarray, boundaries, steps):
@@ -205,7 +221,7 @@ def joint_flow(Y: VectorField, x0: BasePoint, boundaries, cfg: IntegratorConfig,
 
     def rhs(t, z):
         value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
-        return np.concatenate([value, (jac @ z[n:].reshape(n, n)).ravel()])
+        return value.tolist() + (jac @ np.array(z[n:]).reshape(n, n)).ravel().tolist()
 
     z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
     times, rows, offsets = rk4_segments(lambda k: rhs, z0, boundaries, steps)

@@ -62,21 +62,21 @@ class LiftedSystem(DriftControlSystem):
             s = next(stages)
             points[s] = x
             value, jacobians[s] = self.drift.value_and_jacobian(x)
-            return value
+            return value.tolist()
 
         _, bases, offsets = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, steps)
         stages = itertools.count()
         if u is None:
-            return bases, lambda k: lambda t, y: jacobians[next(stages)] @ y
+            return bases, lambda k: lambda t, y: (jacobians[next(stages)] @ np.array(y)).tolist()
         # Each RK4 step has four stages, all under the input of its segment.
         inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
         terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
 
         def fiber_rhs(t, y):
             s = next(stages)
-            v = jacobians[s] @ y
-            for term in terms[s]:
-                v += term
+            v = (jacobians[s] @ np.array(y)).tolist()
+            for term in terms[s].tolist():
+                v = [a + b for a, b in zip(v, term)]
             return v
 
         return bases, lambda k: fiber_rhs

@@ -20,7 +20,9 @@ DEFAULT_DERIV_STEP = 1e-5
 
 
 def _as_vector(values, dim: int, label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        arr = arr.reshape(-1)
     if arr.shape != (dim,):
         raise ValueError(f"{label} must have length {dim}, got shape {np.shape(values)}")
     return arr

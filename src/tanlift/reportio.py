@@ -68,10 +68,25 @@ def dumps(obj) -> str:
 
 
 def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[Iterable[float]]) -> None:
-    """Write numeric rows with the same 17-digit formatting as the JSON output."""
+    """Write numeric rows with the same 17-digit formatting as the JSON output.
+
+    A row is formatted by one ``"%.17g,...\n"`` template, which gives each
+    value the bytes of ``format_float``.  Only "nan" and "inf" put an "n"
+    in a line: such a row is not written, and ``format_float`` raises on
+    its first non-finite value.
+    """
     stream.write(",".join(header) + "\n")
+    templates = {}
     for row in rows:
-        stream.write(",".join(format_float(v) for v in row) + "\n")
+        row = tuple(row)
+        template = templates.get(len(row))
+        if template is None:
+            template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+        line = template % row
+        if "n" in line:
+            for v in row:
+                format_float(v)
+        stream.write(line)
 
 
 def trajectory_rows(times, bases, fibers):

@@ -36,6 +36,7 @@ class VerticalAffineSystem(DriftControlSystem):
             if u_k is not None:
                 for ui, X in zip(u_k, self.controls):
                     v += ui * X.value(x)
+            v = v.tolist()
             return lambda t, y: v
 
         return still_base_pass(x0, boundaries, steps, u, rhs_at)
@@ -50,18 +51,22 @@ class GeneralVerticalSystem:
     control_dim: int = 0
 
     def _check_start(self, v0: TangentPoint, u: Optional[ControlSignal]) -> None:
-        """Evaluate the dynamics at v0 under the first input; a non-finite value is named."""
+        """Evaluate the dynamics at v0 under the first input; a value of the wrong shape or not finite is named."""
         x, y = v0.base.coords, v0.fiber
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             value = np.asarray(self.dynamics(x, y, None if u is None else u.values[0]), dtype=float)
+        if value.shape != y.shape:
+            raise ValueError(f"fiber dynamics must return {y.size} values, got shape {value.shape}")
         if not np.isfinite(value).all():
             raise NumericalError(f"fiber dynamics are not finite at x = {x.tolist()}, y = {y.tolist()}")
 
     def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
         """The base does not move; only the fiber is integrated."""
-        return still_base_pass(
-            x0, boundaries, steps, u, lambda x, u_k: lambda t, y: np.asarray(self.dynamics(x, y, u_k), dtype=float)
-        )
+
+        def rhs_at(x, u_k):
+            return lambda t, y: np.asarray(self.dynamics(x, np.array(y), u_k), dtype=float).tolist()
+
+        return still_base_pass(x0, boundaries, steps, u, rhs_at)
 
 
 @dataclass(frozen=True)

@@ -540,6 +540,18 @@ def test_drift_not_finite_at_the_initial_base_is_named(capsys, tmp_path, command
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["simulate", "controllability"])
+def test_a_jacobian_constant_beyond_the_float_range_is_a_numerical_failure(capsys, tmp_path, command):
+    # The Jacobian of N*x1*sin(N*x1) has N**2 = 10**400, which no float holds.
+    N = 10**200
+    doc = json.loads((SCENARIOS / "s2_lifted.json").read_text())
+    doc["fields"]["Y"] = [f"{N}*x1*sin({N}*x1)", "1"]
+    code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "numerical failure: Jacobian of field 'Y' has a constant beyond the float range\n"
+
+
 def test_fiber_dynamics_not_finite_at_the_start_are_named(capsys, tmp_path):
     # -y1/x2 divides by the initial base coordinate x2 = 0.
     doc = json.loads((SCENARIOS / "s2_damping.json").read_text())

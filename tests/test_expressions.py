@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tanlift import (
     ExpressionError,
+    NumericalError,
     base_lie_bracket,
     builtin_manifold,
     fiber_dynamics_from_expressions,
@@ -111,6 +112,19 @@ def test_number_out_of_float_range_is_a_parse_error(src, pos):
     with pytest.raises(ExpressionError) as err:
         parse_expression(src, chart_symbols(2))
     assert str(err.value) == f"result is undefined or out of the float range (at position {pos})"
+
+
+def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numerical_error(r2):
+    # The parsed field is in range, but d/dx1 of N*x1*sin(N*x1) has N**2 = 10**400.
+    N = 10**200
+    Y = field_from_expressions(r2, [f"{N}*x1*sin({N}*x1)", "1"], "Y")
+    X = field_from_expressions(r2, ["1", "0"], "X")
+    assert np.isfinite(Y.at([1.0, 0.5])).all()
+    with pytest.raises(NumericalError, match=r"^Jacobian of field 'Y' has a constant beyond the float range$"):
+        Y.jacobian_at([1.0, 0.5])
+    # J_Y X - J_X Y, whose first entry has N**2 too.
+    with pytest.raises(NumericalError, match=r"^field '\[X,Y\]' has a constant beyond the float range$"):
+        base_lie_bracket(X, Y)
 
 
 def test_exact_power_within_float_range_is_exact():

@@ -131,7 +131,7 @@ def test_integrate_segments_checks_final_row(s2):
 
 
 def test_integrate_segments_names_non_finite_time(r2):
-    blow_up = lambda t, z: z * z
+    blow_up = lambda t, z: [c * c for c in z]
     times, rows, _ = rk4_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], lambda span: 100)
     with pytest.raises(NumericalError, match=r"non-finite state at t = 1\.0"):
         check_trajectory(r2, times, rows, rows[:, 2:])

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanlift import NumericalError
 from tanlift.reportio import format_float, trajectory_rows, write_csv
@@ -46,3 +48,39 @@ def test_non_finite_values_are_not_serialized(bad):
     fibers = np.array([[0.0, bad]])
     with pytest.raises(NumericalError, match="^cannot serialize non-finite value "):
         write_csv(io.StringIO(), ["t", "x1", "y1"], trajectory_rows([0.0], [[1.0]], fibers[:, 1:]))
+
+
+def _per_value_csv(header, rows):
+    """The CSV text of a per-value ``format_float`` join, and the message it stops with."""
+    stream = io.StringIO()
+    stream.write(",".join(header) + "\n")
+    try:
+        for row in rows:
+            stream.write(",".join(format_float(v) for v in row) + "\n")
+    except NumericalError as err:
+        return stream.getvalue(), str(err)
+    return stream.getvalue(), None
+
+
+_CSV_VALUES = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.0**53, 2.0**53 + 2, 1.7976931348623157e308])
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300).map(np.float64)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CSV_VALUES, max_size=6), max_size=8))
+def test_csv_rows_have_the_bytes_of_a_per_value_format_float_join(rows):
+    # Rows of unequal widths each get a template of their own width.
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 0)]
+    want, message = _per_value_csv(header, rows)
+    stream = io.StringIO()
+    try:
+        write_csv(stream, header, iter(rows))
+    except NumericalError as err:
+        assert str(err) == message
+    else:
+        assert message is None
+    assert stream.getvalue() == want

@@ -121,6 +121,15 @@ def test_general_vertical_damping(s2):
     assert np.all(traj.bases == traj.bases[0])
 
 
+@pytest.mark.parametrize("dynamics", [lambda x, y, u: -1.0, lambda x, y, u: np.concatenate([y, y])])
+def test_general_vertical_dynamics_of_the_wrong_shape_are_rejected(s2, dynamics):
+    # One value per fiber coordinate: a scalar or a longer vector is not a fiber velocity.
+    sys = GeneralVerticalSystem(s2, dynamics, control_dim=0)
+    v0 = s2.tangent_point([0.6, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^fiber dynamics must return 2 values, got shape \((4,)?\)$"):
+        simulate_vertical_ode(sys, v0, None, horizon=0.1)
+
+
 def test_general_vertical_theta_dependent(s2):
     # dy1/dt = -y1 + u1, dy2/dt = -sin(theta) y2 + u2, no control here.
     def dyn(x, y, u):
