@@ -72,7 +72,10 @@ class _Run:
         self.cfg = IntegratorConfig(step=args.step, max_steps=args.max_steps)
         self.out_dir = Path(args.out) if args.out else None
         if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ScenarioError(f"cannot create the --out directory {self.out_dir}: {err}") from err
         self.csv_files = {}
 
     @property

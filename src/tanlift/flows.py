@@ -92,7 +92,7 @@ class FlowResult:
         return self.point(-1)
 
     @property
-    def final_jacobian(self) -> np.ndarray:
+    def endpoint_jacobian(self) -> np.ndarray:
         return self.jacobians[-1]
 
     def point(self, k: int) -> BasePoint:
@@ -129,6 +129,9 @@ def _rk4_step(f, t, z, h):
     k2 = f(t + half, [a + half * b for a, b in zip(z, k1)])
     k3 = f(t + half, [a + half * b for a, b in zip(z, k2)])
     k4 = f(t + h, [a + h * b for a, b in zip(z, k3)])
+    if not len(z) == len(k1) == len(k2) == len(k3) == len(k4):
+        bad = next(len(k) for k in (k1, k2, k3, k4) if len(k) != len(z))
+        raise ValueError(f"right-hand side has length {bad}, state has length {len(z)}")
     sixth = h / 6.0
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
@@ -288,7 +291,7 @@ def flow_differential(
     Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Differential of the time-T flow map at x0 (identity at T = 0)."""
-    return flow(Y, x0, T, cfg).final_jacobian
+    return flow(Y, x0, T, cfg).endpoint_jacobian
 
 
 def pullback_vector(J: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -316,5 +319,5 @@ def transported_field(
     a second, backward variational equation.
     """
     result = flow(Y, x0, t, cfg)
-    return pullback_vector(result.final_jacobian, X.at(result.final_coords))
+    return pullback_vector(result.endpoint_jacobian, X.at(result.final_coords))
 

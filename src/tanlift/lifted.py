@@ -48,8 +48,9 @@ class LiftedSystem(DriftControlSystem):
         """Base rows of the drift flow from x0, and the fiber right-hand sides.
 
         Each base stage is checked once and records its point and the
-        drift Jacobian J there.  The controls are then evaluated once over
-        all stage points, and the fiber right-hand side at stage s is
+        drift Jacobian J there.  Under an input the controls are then
+        evaluated once over all stage points; without one there are no
+        control terms.  The fiber right-hand side at stage s is
         J_s y + sum_i u_i Xi(x_s), the fiber block of Y^c + sum_i u_i Xi^v.
         """
         n_stages = 4 * sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
@@ -65,12 +66,13 @@ class LiftedSystem(DriftControlSystem):
             return value.tolist()
 
         _, bases, offsets = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, steps)
-        stages = itertools.count()
         if u is None:
-            return bases, lambda k: lambda t, y: (jacobians[next(stages)] @ np.array(y)).tolist()
-        # Each RK4 step has four stages, all under the input of its segment.
-        inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
-        terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
+            terms = np.empty((n_stages, 0, x0.dim))
+        else:
+            # Each RK4 step has four stages, all under the input of its segment.
+            inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
+            terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
+        stages = itertools.count()
 
         def fiber_rhs(t, y):
             s = next(stages)
@@ -107,10 +109,6 @@ class TransportOperatorGrid(FlowResult):
     @property
     def grid_segments(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def endpoint_jacobian(self) -> np.ndarray:
-        return self.jacobians[-1]
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class ChartManifold:
                 f"need lower < upper in every coordinate, got {lower.tolist()} and {upper.tolist()}"
             )
         object.__setattr__(self, "bounds", (lower, upper))
-        # The box as Python floats, for the fast path of ``check``; an
+        # The box as Python floats, for the domain test of ``check``; an
         # attribute, not a field, because the fields are the chart's data.
         object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))
         if self.sample_bounds is not None:
@@ -79,15 +79,11 @@ class ChartManifold:
     def check(self, coords) -> np.ndarray:
         """Validate a raw coordinate vector against the chart domain.
 
-        A float64 array of shape (dim,), such as an RK4 stage point, is
-        taken as it is; any other input goes through ``_as_vector``.  Its
-        entries must pass ``lo < c < hi`` as Python floats, which NaN and
-        +-inf fail as they fail ``in_domain``.
+        The input goes through ``_as_vector``, which returns a float64
+        array of shape (dim,) itself.  Its entries must pass ``lo < c < hi``
+        as Python floats, which NaN and +-inf fail as they fail ``in_domain``.
         """
-        if type(coords) is np.ndarray and coords.dtype == float and coords.shape == (self.dim,):
-            arr = coords
-        else:
-            arr = _as_vector(coords, self.dim, "coordinates")
+        arr = _as_vector(coords, self.dim, "coordinates")
         for c, (lo, hi) in zip(arr.tolist(), self._box):
             if not lo < c < hi:
                 raise ChartDomainError(

@@ -166,17 +166,23 @@ def _system_block(doc: dict, context: str, manifold: ChartManifold) -> tuple:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a path, JSON string, or already-loaded dict."""
+    """Parse a scenario from a path or an already-loaded dict.
+
+    A file that is missing, unreadable, not UTF-8 or not JSON is a
+    ScenarioError naming the path.
+    """
     if isinstance(source, dict):
         doc = source
     else:
         path = Path(source)
-        if not path.exists():
-            raise ScenarioError(f"scenario file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, NotADirectoryError) as err:
+            raise ScenarioError(f"scenario file not found: {path}") from err
         except json.JSONDecodeError as err:
             raise ScenarioError(f"scenario is not valid JSON: {err}") from err
+        except (OSError, ValueError) as err:
+            raise ScenarioError(f"cannot read scenario file {path}: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     if doc.get("schema") != SCHEMA:

@@ -187,6 +187,34 @@ def test_scenario_rejects_wrong_dimensions(tmp_path):
         load_scenario(write_scenario(tmp_path, doc))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8", "long-name"])
+def test_an_unreadable_scenario_path_is_an_input_error(capsys, tmp_path, kind):
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    path = {
+        "missing": tmp_path / "missing.json",
+        "directory": tmp_path,
+        "not-utf8": tmp_path / "latin1.json",
+        "long-name": tmp_path / ("x" * 300 + ".json"),
+    }[kind]
+    code = main(["simulate", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message = "scenario file not found" if kind == "missing" else "cannot read scenario file"
+    assert captured.err.startswith(f"error: {message}")
+    assert str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("out", ["report.txt", "report.txt/sub"])
+def test_out_naming_a_file_is_an_input_error(capsys, tmp_path, out):
+    (tmp_path / "report.txt").write_text("")
+    code = main(["brackets", "--scenario", str(SCENARIOS / "r2_shear.json"), "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot create the --out directory {tmp_path / out}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_lift_check_command(capsys):
     code, report, _ = run_cli(
         capsys, "lift-check", "--scenario", str(SCENARIOS / "s2_vertical.json")

@@ -137,6 +137,13 @@ def test_integrate_segments_names_non_finite_time(r2):
         check_trajectory(r2, times, rows, rows[:, 2:])
 
 
+@pytest.mark.parametrize("entries", [3, 1])
+def test_a_derivative_of_another_length_than_the_state_is_rejected(entries):
+    rhs = lambda t, z: [1.0] * entries
+    with pytest.raises(ValueError, match=rf"^right-hand side has length {entries}, state has length 2$"):
+        rk4_segments(lambda k: rhs, np.zeros(2), [0.0, 1.0], lambda span: 4)
+
+
 def test_flow_step_budget(r2, shear_fields):
     Y, _ = shear_fields
     with pytest.raises(StepBudgetError):
@@ -223,7 +230,7 @@ def test_jacobian_chain_rule(r2, rng):
     full = flow_differential(Y, x0, T)
     first = flow(Y, x0, t)
     second = flow_differential(Y, first.final_point, T - t)
-    assert np.max(np.abs(full - second @ first.final_jacobian)) <= 1e-7
+    assert np.max(np.abs(full - second @ first.endpoint_jacobian)) <= 1e-7
 
 
 def test_transported_field_shear(r2, shear_fields):

@@ -80,6 +80,9 @@ def test_check_accepts_and_rejects_as_in_domain_with_the_same_message(drawn):
     else:
         assert status == f"coordinates {arr.tolist()} outside the domain of chart '{chart.name}'"
     assert out.dtype == np.float64 and out.shape == (chart.dim,)
+    if type(coords) is np.ndarray and coords.dtype == np.float64 and coords.shape == (chart.dim,):
+        # A writable, read-only or strided float64 vector is returned, or carried by the error, as it is.
+        assert out is coords
     assert np.array_equal(out, arr, equal_nan=True)
     assert np.array_equal(np.signbit(out), np.signbit(arr))
 
