@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.ntheory.multinomial import multinomial_coefficients_iterator
 from sympy.printing.numpy import NumPyPrinter
 
 from .errors import ExpressionError, NumericalError
@@ -33,8 +34,8 @@ _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 # Deepest nesting of parentheses, function calls and unary signs.  At 24
 # levels of `1/sin(x2 + x1/sin(...))`, about four tree levels each, the
-# field and its Jacobian kernel still compile within Python's default
-# recursion limit, with 150 frames to spare.
+# field and its Jacobian kernel compile in about 320 frames above the
+# caller, well within Python's default recursion limit of 1000.
 _MAX_NESTING = 24
 
 _TOKEN_RE = re.compile(
@@ -289,6 +290,40 @@ def _compile(printer: NumPyPrinter, args, exprs: list):
     )
 
 
+def _derivative(expr, x):
+    """``expr.diff(x)``, the same tree, without sympy's closing ``is_zero`` query.
+
+    ``Derivative.__new__`` asks ``obj.is_zero`` of each derivative it has
+    built, at every level of the recursion, and returns ``obj`` either way;
+    that query is most of the cost of a bracket's Jacobian.  This follows
+    sympy's own rules node by node: Add, the Leibniz terms of
+    ``Mul._eval_derivative_n_times``, ``Pow._eval_derivative``, and
+    ``Function._eval_derivative`` for a one-argument function class that
+    keeps it (sin, cos, exp, log).  Any other node, such as the ``Abs`` of
+    ``pow(pow(x1, 2), 0.5)``, is left to ``expr.diff(x)``.
+    """
+    if x not in expr.free_symbols:
+        return sp.S.Zero
+    if expr == x:
+        return sp.S.One
+    kind = type(expr)
+    if kind is sp.Add:
+        return sp.Add(*[_derivative(a, x) for a in expr.args])
+    if kind is sp.Mul:
+        return sp.Add(*[
+            c * sp.Mul(*[_derivative(a, x) if k else a for k, a in zip(orders, expr.args)])
+            for orders, c in multinomial_coefficients_iterator(len(expr.args), 1)
+        ])
+    if kind is sp.Pow:
+        base, exponent = expr.args
+        dbase, dexp = _derivative(base, x), _derivative(exponent, x)
+        return expr * (dexp * sp.log(base) + dbase * exponent / base)
+    if len(expr.args) == 1 and getattr(kind, "_eval_derivative", None) is sp.Function._eval_derivative:
+        da = _derivative(expr.args[0], x)
+        return sp.S.Zero if da.is_zero else expr.fdiff(1) * da
+    return expr.diff(x)
+
+
 def _power_free(exprs) -> bool:
     """No entry has a power, so numpy arrays, numpy scalars and Python floats evaluate it alike."""
     return not any(expr.has(sp.Pow) for expr in exprs)
@@ -302,7 +337,8 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     with the coefficients into the field's ``kernel``, one function that
     returns both; the printer the two compiles share is then dropped.  The
     symbolic Jacobian is formed at most once: ``sym`` carries it, as a
-    cached function, to every bracket that takes the field as an operand.
+    cached function, to every bracket that takes the field as an operand;
+    each entry is ``_derivative``, the tree ``column.jacobian(args)`` has.
     Only a field without powers is ``vectorized``: numpy rounds ``x**k``
     on arrays differently from ``x**k`` on one number.  By the same test
     on all its entries, a kernel without powers is called on Python floats,
@@ -313,7 +349,9 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     """
     n = manifold.dim
     printer, f_kernel, on_floats = _printer(), None, False
-    jacobian = functools.cache(lambda: column.jacobian(args))
+    jacobian = functools.cache(
+        lambda: column._new(len(column), len(args), lambda j, i: _derivative(column[j], args[i]))
+    )
     _check_constants(column, f"field {name!r}")
     f_vec = _compile(printer, args, list(column))
 

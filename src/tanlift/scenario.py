@@ -168,8 +168,8 @@ def _system_block(doc: dict, context: str, manifold: ChartManifold) -> tuple:
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a path or an already-loaded dict.
 
-    A file that is missing, unreadable, not UTF-8 or not JSON is a
-    ScenarioError naming the path.
+    A file that is missing, unreadable, not UTF-8, not JSON or nested too
+    deep for the JSON decoder is a ScenarioError naming the path.
     """
     if isinstance(source, dict):
         doc = source
@@ -181,7 +181,7 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError(f"scenario file not found: {path}") from err
         except json.JSONDecodeError as err:
             raise ScenarioError(f"scenario is not valid JSON: {err}") from err
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, RecursionError) as err:
             raise ScenarioError(f"cannot read scenario file {path}: {err}") from err
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")

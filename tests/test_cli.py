@@ -205,6 +205,16 @@ def test_an_unreadable_scenario_path_is_an_input_error(capsys, tmp_path, kind):
     assert "Traceback" not in captured.err
 
 
+def test_a_scenario_nested_past_the_recursion_limit_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["brackets", "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot read scenario file {path}: maximum recursion depth exceeded")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("out", ["report.txt", "report.txt/sub"])
 def test_out_naming_a_file_is_an_input_error(capsys, tmp_path, out):
     (tmp_path / "report.txt").write_text("")

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import Phase, given, reject, settings
+from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
 from tanlift import (
+    ChartManifold,
     ExpressionError,
     NumericalError,
     base_lie_bracket,
@@ -287,6 +288,89 @@ def test_long_float_jacobian_compiles_to_plain_lambdify_source(r2):
         _compile_kernels([field_from_expressions(r2, ["0.10000000000000000000001*x1 + 0.1*x2", "x1"])])
 
     assert _compiles_as_plain_lambdify(build) == 2
+
+
+def _chart_and_two_fields():
+    """A chart dimension, 2 or 3, and the coefficients of two fields over its variables."""
+
+    def fields(dim):
+        variables = [f"x{i + 1}" for i in range(dim)]
+        return st.tuples(st.just(dim), st.lists(_grammar(variables, depth=4), min_size=2 * dim, max_size=2 * dim))
+
+    return st.sampled_from([2, 3]).flatmap(fields)
+
+
+_JACOBIAN_CASES = [
+    (2, ["pow(pow(x1, 2), 0.5)", "x2", "x2", "sin(x1)"]),  # Abs: left to sympy's diff
+    (2, ["pow(x1, x2)", "x1", "cos(x2)", "x1*x2"]),  # a log from the exponent
+    (2, ["exp(1)*x1", "x2", "x2", "exp(x1)"]),
+    (3, ["x2*x3", "sin(x1)", "pow(x3, -1.5)", "x2", "exp(x1)*cos(x3)", "x1*x2*x3"]),
+]
+
+
+def _field_and_bracket(case):
+    """The first drawn field, the second, and their ``base_lie_bracket``."""
+    dim, exprs = case
+    chart = ChartManifold(dim=dim, name=f"R{dim}")
+    X = _parsed(lambda: field_from_expressions(chart, exprs[:dim], "X"))
+    Y = _parsed(lambda: field_from_expressions(chart, exprs[dim:], "Y"))
+    try:
+        return X, Y, base_lie_bracket(X, Y)
+    except NumericalError:  # a drawn constant beyond the float range
+        reject()
+
+
+def _with_examples(test):
+    for case in _JACOBIAN_CASES:
+        test = example(case)(test)
+    return test
+
+
+@_SOURCE_IDENTITY
+@_with_examples
+@given(_chart_and_two_fields())
+def test_a_field_and_its_bracket_carry_sympys_own_jacobian(case):
+    # Catches, among others, the Mul rule written as Mul._eval_derivative's
+    # reduce over the factors instead of the Leibniz terms of
+    # Mul._eval_derivative_n_times: the same derivative, a different tree.
+    for F in _field_and_bracket(case):
+        column, args, jacobian = F.sym
+        assert sympy.srepr(jacobian()) == sympy.srepr(column.jacobian(args))
+
+
+def _compiled_kernel(F):
+    """The function ``F.kernel`` compiles on its first call."""
+    plain = sympy.lambdify
+    compiled = []
+
+    def recording(*args, **kwargs):
+        compiled.append(plain(*args, **kwargs))
+        return compiled[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sympy, "lambdify", recording)
+        # Evaluating it may fail, e.g. on the DiracDelta numpy has no name for.
+        with np.errstate(all="ignore"), contextlib.suppress(ArithmeticError, NameError):
+            F.kernel(np.linspace(0.3, 0.7, F.manifold.dim))
+    (kernel,) = compiled
+    return kernel
+
+
+@_SOURCE_IDENTITY
+@_with_examples
+@given(_chart_and_two_fields())
+def test_a_field_and_its_bracket_compile_sympys_own_jacobian(case):
+    # The kernel against plain lambdify of sympy's own Jacobian, not of the
+    # entries the kernel was handed as _compiles_as_plain_lambdify checks.
+    X, _, B = _field_and_bracket(case)
+    for F in (X, B):
+        column, args, _ = F.sym
+        try:
+            kernel = _compiled_kernel(F)
+        except NumericalError:  # a constant beyond the float range in the Jacobian
+            reject()
+        expected = sympy.lambdify(args, list(column) + list(column.jacobian(args)), modules="numpy")
+        assert inspect.getsource(kernel) == inspect.getsource(expected)
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
