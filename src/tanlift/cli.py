@@ -293,6 +293,11 @@ def cmd_bump_convergence(run: _Run) -> tuple:
         if abs(segments - round(segments)) > 1e-9:
             raise ScenarioError(f"bump width fraction {frac} must divide the horizon evenly")
         segments = int(round(segments))
+        if N % segments and segments % N:
+            raise ScenarioError(
+                f"bump width fraction {frac} gives {segments} control segments, "
+                f"which neither align with nor refine the {N}-segment grid"
+            )
         start = bump.t0_fraction * segments
         if abs(start - round(start)) > 1e-9:
             raise ScenarioError(
@@ -307,8 +312,7 @@ def cmd_bump_convergence(run: _Run) -> tuple:
     if np.max(errors) > 1e-12:
         logs_eps = np.log([row["epsilon"] for row in table])
         logs_err = np.log(np.maximum(errors, 1e-300))
-        slope = float(np.polyfit(logs_eps, logs_err, 1)[0])
-        order = slope
+        order = float(np.polyfit(logs_eps, logs_err, 1)[0])
     else:
         order = None
     payload = {

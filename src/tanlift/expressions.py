@@ -283,11 +283,22 @@ def _printer() -> NumPyPrinter:
     return printer
 
 
-def _compile(printer: NumPyPrinter, args, exprs: list):
-    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, with no docstring render."""
-    return sp.lambdify(
+def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
+    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, with no docstring render.
+
+    Entries that ``_check_constants`` rejects are a NumericalError naming
+    ``label``, as is a function the printer leaves under its sympy name,
+    which the code cannot resolve: the ``DiracDelta`` of ``Abs``'s second
+    derivative.
+    """
+    _check_constants(exprs, label)
+    func = sp.lambdify(
         args, exprs, modules="numpy", printer=printer, use_imps=False, docstring_limit=0
     )
+    unknown = sorted(set(func.__code__.co_names) - func.__globals__.keys() - func.__builtins__.keys())
+    if unknown:
+        raise NumericalError(f"{label} has {', '.join(unknown)}, which numpy cannot evaluate")
+    return func
 
 
 def _derivative(expr, x):
@@ -352,8 +363,7 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     jacobian = functools.cache(
         lambda: column._new(len(column), len(args), lambda j, i: _derivative(column[j], args[i]))
     )
-    _check_constants(column, f"field {name!r}")
-    f_vec = _compile(printer, args, list(column))
+    f_vec = _compile(printer, args, list(column), f"field {name!r}")
 
     def func(x):
         return f_vec(*x)
@@ -361,9 +371,9 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     def kernel(x):
         nonlocal printer, f_kernel, on_floats
         if f_kernel is None:
-            _check_constants(jacobian(), f"Jacobian of field {name!r}")
             entries = list(column) + list(jacobian())
-            f_kernel, printer, on_floats = _compile(printer, args, entries), None, _power_free(entries)
+            f_kernel = _compile(printer, args, entries, f"Jacobian of field {name!r}")
+            printer, on_floats = None, _power_free(entries)
         return f_kernel(*(x.tolist() if on_floats else x))
 
     def jac(x):
@@ -399,7 +409,7 @@ def fiber_dynamics_from_expressions(
     args += [table[f"y{i + 1}"] for i in range(n)]
     args += [table[f"u{i + 1}"] for i in range(control_dim)]
     parsed = [parse_expression(src, table) for src in exprs]
-    f_vec = _compile(_printer(), args, parsed)
+    f_vec = _compile(_printer(), args, parsed, "fiber dynamics")
 
     def dynamics(x, y, u):
         u = np.zeros(control_dim) if u is None else np.asarray(u, dtype=float)

@@ -4,7 +4,8 @@ Integration is fixed-step classical RK4; the flow differential solves
 the variational equation dJ/dt = J_Y(x(t)) J jointly with the base flow,
 so Jacobians are available at every grid node of a single pass.
 Transported control directions (the pullback of a field along the drift
-flow into the initial tangent space) come from one linear solve per node.
+flow into the initial tangent space) come from one batched linear solve
+over the step states of a pass.
 
 The RK4 state is a list of Python scalars, because a state of 2 to n + n²
 entries costs more in numpy's per-call overhead than in arithmetic.  The
@@ -47,25 +48,28 @@ class IntegratorConfig:
             return 0
         return max(1, math.ceil(abs(span) / self.step))
 
+    def plan(self, boundaries, even: bool = False) -> np.ndarray:
+        """Step counts of the segments [boundaries[k], boundaries[k + 1]] of one pass.
+
+        Each is ``steps_for`` of the span, or with ``even`` at least 2 and
+        even, for Simpson's rule.  ``max_steps`` bounds the whole pass.  The
+        segments need at least horizon / step steps, so a pass over the budget
+        by that quotient is rejected before any count is formed, and a count
+        too large to print or to hold in a float never is.
+        """
+        span = float(boundaries[-1] - boundaries[0])
+        if math.isfinite(span) and abs(span) / self.step > self.max_steps:
+            raise StepBudgetError(f"horizon {span} needs more steps of {self.step} than the budget of {self.max_steps}")
+        counts = [self.steps_for(b - a) for a, b in zip(boundaries[:-1], boundaries[1:])]
+        if even:
+            counts = [max(2, c + c % 2) for c in counts]
+        total = sum(counts)
+        if total > self.max_steps:
+            raise StepBudgetError(f"horizon {span} needs {total} steps of {self.step}, budget is {self.max_steps}")
+        return np.array(counts)
+
 
 DEFAULT_CONFIG = IntegratorConfig()
-
-
-def _check_budget(cfg: IntegratorConfig, boundaries, steps) -> None:
-    """Reject a pass whose segments need more steps in all than ``cfg.max_steps``.
-
-    ``steps(span)`` counts the steps of one segment.  The budget bounds the
-    whole pass, however many segments it has, and is checked before any
-    step is taken.  The segments need at least horizon / step steps, so a
-    pass over the budget by that quotient is rejected before any count is
-    formed, and a count too large to print or to hold in a float never is.
-    """
-    span = float(boundaries[-1] - boundaries[0])
-    if math.isfinite(span) and abs(span) / cfg.step > cfg.max_steps:
-        raise StepBudgetError(f"horizon {span} needs more steps of {cfg.step} than the budget of {cfg.max_steps}")
-    total = sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
-    if total > cfg.max_steps:
-        raise StepBudgetError(f"horizon {span} needs {total} steps of {cfg.step}, budget is {cfg.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -163,29 +167,27 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
     return times, np.array(states)
 
 
-def rk4_segments(rhs_for, z0: np.ndarray, boundaries, steps):
+def rk4_segments(rhs_for, z0: np.ndarray, boundaries, counts):
     """RK4 over consecutive segments [boundaries[k], boundaries[k + 1]].
 
-    ``rhs_for(k)`` is the right-hand side on segment k and ``steps(span)``
-    its step count, so no step crosses a boundary.  Returns (times, rows,
-    offsets): each node once, segment k spanning rows offsets[k] through
-    offsets[k + 1].  The rows are not checked: callers pass them to
-    ``check_trajectory``.
+    ``rhs_for(k)`` is the right-hand side on segment k and ``counts[k]``
+    its step count, from ``IntegratorConfig.plan``, so no step crosses a
+    boundary.  Returns (times, rows): each node once, segment k spanning
+    rows sum(counts[:k]) through sum(counts[:k + 1]).  The rows are not
+    checked: callers pass them to ``check_trajectory``.
     """
     times = [np.asarray(boundaries[:1], dtype=float)]
     rows = [z0[None, :]]
-    offsets = [0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(len(boundaries) - 1):
-            n_steps = steps(boundaries[k + 1] - boundaries[k])
+        # Python ints: a numpy step count would make the step size a numpy scalar.
+        for k, n_steps in enumerate(counts.tolist()):
             seg_times, seg_rows = integrate_fixed(
                 rhs_for(k), z0, boundaries[k], boundaries[k + 1], n_steps
             )
             times.append(seg_times[1:])
             rows.append(seg_rows[1:])
-            offsets.append(offsets[-1] + n_steps)
             z0 = seg_rows[-1]
-    return np.concatenate(times), np.concatenate(rows, axis=0), offsets
+    return np.concatenate(times), np.concatenate(rows, axis=0)
 
 
 def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarray, others: np.ndarray) -> None:
@@ -209,28 +211,25 @@ def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarr
         )
 
 
-def joint_flow(Y: VectorField, x0: BasePoint, boundaries, cfg: IntegratorConfig, steps):
+def joint_flow(Y: VectorField, x0: BasePoint, boundaries, counts):
     """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
 
-    Returns (times, states, jacobians, offsets), the nodes and offsets of
-    ``rk4_segments``, after ``check_trajectory``.  ``steps(span)`` counts
-    a segment's steps.  Y is evaluated at x0 first, so a field that is not
-    finite there is named; then ``cfg.max_steps`` is checked against the
-    whole pass.
+    Returns (times, states, jacobians), the nodes of ``rk4_segments`` over
+    the planned ``counts``, after ``check_trajectory``.  The caller
+    evaluates Y at x0 before it plans, so a field that is not finite there
+    is named before the step budget is checked.
     """
     n = x0.manifold.dim
-    Y.at(x0)
-    _check_budget(cfg, boundaries, steps)
 
     def rhs(t, z):
         value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
         return value.tolist() + (jac @ np.array(z[n:]).reshape(n, n)).ravel().tolist()
 
     z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    times, rows, offsets = rk4_segments(lambda k: rhs, z0, boundaries, steps)
+    times, rows = rk4_segments(lambda k: rhs, z0, boundaries, counts)
     states, jacobians = rows[:, :n], rows[:, n:]
     check_trajectory(x0.manifold, times, states, jacobians)
-    return times, states, jacobians.reshape(-1, n, n), offsets
+    return times, states, jacobians.reshape(-1, n, n)
 
 
 def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
@@ -242,24 +241,24 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
     and RK4 treats every coordinate alike, so the base is integrated first
     and the fiber after it, with the values of RK4 on the whole bundle bit
     for bit.
-    ``sys.base_pass(x0, boundaries, steps, u)`` returns the base rows and
+    ``sys.base_pass(x0, boundaries, counts, u)`` returns the base rows and
     ``rhs_for(k)``: the fiber right-hand side on segment k, called once
     per RK4 stage in order.  Before any step,
     ``sys._check_start(v0, u)`` evaluates the system at its start, so a
-    field or fiber dynamics that is not finite there is named, and the
-    step budget is checked for the whole pass.
+    field or fiber dynamics that is not finite there is named, and then
+    ``cfg.plan`` fixes the step counts both passes take.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
     sys._check_start(v0, u)
-    _check_budget(cfg, boundaries, cfg.steps_for)
+    counts = cfg.plan(boundaries)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bases, rhs_for = sys.base_pass(v0.base, boundaries, cfg.steps_for, u)
-        times, fibers, _ = rk4_segments(rhs_for, v0.fiber, boundaries, cfg.steps_for)
+        bases, rhs_for = sys.base_pass(v0.base, boundaries, counts, u)
+        times, fibers = rk4_segments(rhs_for, v0.fiber, boundaries, counts)
     check_trajectory(sys.manifold, times, bases, fibers)
     return TangentTrajectory(manifold=sys.manifold, times=times, bases=bases, fibers=fibers)
 
 
-def still_base_pass(x0: BasePoint, boundaries, steps, u, rhs_at):
+def still_base_pass(x0: BasePoint, counts, u, rhs_at):
     """``base_pass`` of a system whose base does not move.
 
     The base is x0 in the first row and at the first RK4 stage, and x0 + 0.0
@@ -277,13 +276,13 @@ def still_base_pass(x0: BasePoint, boundaries, steps, u, rhs_at):
         first, stages = rhs_at(x0.coords, u_k), itertools.count()
         return lambda t, y: (rhs if next(stages) else first)(t, y)
 
-    n_steps = sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
-    return np.vstack([x0.coords, np.broadcast_to(moved, (n_steps, x0.dim))]), rhs_for
+    return np.vstack([x0.coords, np.broadcast_to(moved, (counts.sum(), x0.dim))]), rhs_for
 
 
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative), with its differential."""
-    times, states, jacobians, _ = joint_flow(Y, x0, [0.0, T], cfg, cfg.steps_for)
+    Y.at(x0)
+    times, states, jacobians = joint_flow(Y, x0, [0.0, T], cfg.plan([0.0, T]))
     return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
 
 

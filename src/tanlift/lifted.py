@@ -44,7 +44,7 @@ _transport_memo = None
 class LiftedSystem(DriftControlSystem):
     """dv/dt = Y^c(v) + sum_i u_i Xi^v(v) on the tangent bundle."""
 
-    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+    def base_pass(self, x0: BasePoint, boundaries, counts, u: Optional[ControlSignal]):
         """Base rows of the drift flow from x0, and the fiber right-hand sides.
 
         Each base stage is checked once and records its point and the
@@ -53,7 +53,7 @@ class LiftedSystem(DriftControlSystem):
         control terms.  The fiber right-hand side at stage s is
         J_s y + sum_i u_i Xi(x_s), the fiber block of Y^c + sum_i u_i Xi^v.
         """
-        n_stages = 4 * sum(steps(b - a) for a, b in zip(boundaries[:-1], boundaries[1:]))
+        n_stages = 4 * counts.sum()
         points = np.empty((n_stages, x0.dim))
         jacobians = np.empty((n_stages, x0.dim, x0.dim))
         stages = itertools.count()
@@ -65,12 +65,12 @@ class LiftedSystem(DriftControlSystem):
             value, jacobians[s] = self.drift.value_and_jacobian(x)
             return value.tolist()
 
-        _, bases, offsets = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, steps)
+        _, bases = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, counts)
         if u is None:
             terms = np.empty((n_stages, 0, x0.dim))
         else:
             # Each RK4 step has four stages, all under the input of its segment.
-            inputs = np.repeat(u.values, 4 * np.diff(offsets), axis=0)
+            inputs = np.repeat(u.values, 4 * counts, axis=0)
             terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
         stages = itertools.count()
 
@@ -137,11 +137,6 @@ class ControllabilityReport:
     caveat: Optional[str] = None
 
 
-def _even_substeps(span: float, cfg: IntegratorConfig) -> int:
-    n_sub = max(2, cfg.steps_for(span))
-    return n_sub + (n_sub % 2)
-
-
 def _simpson_weights(n_sub: int, h: float) -> np.ndarray:
     w = np.ones(n_sub + 1)
     w[1:-1:2] = 4.0
@@ -184,7 +179,10 @@ def _transport_pass(
     gives the segment's integral before the push to the endpoint fiber.
     """
     n = sys.manifold.dim
-    times, xs, Js, offsets = joint_flow(sys.drift, x0, boundaries, cfg, lambda span: _even_substeps(span, cfg))
+    sys.drift.at(x0)
+    counts = cfg.plan(boundaries, even=True)
+    times, xs, Js = joint_flow(sys.drift, x0, boundaries, counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)
     finite = np.isfinite(F).all(axis=2)

@@ -28,7 +28,7 @@ class VerticalAffineSystem(DriftControlSystem):
         """Columns Xi(x), the directions reachable in the fiber."""
         return np.column_stack([X.at(x) for X in self.controls])
 
-    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+    def base_pass(self, x0: BasePoint, boundaries, counts, u: Optional[ControlSignal]):
         """The base does not move; the fiber velocity is one constant per base point and segment."""
 
         def rhs_at(x, u_k):
@@ -39,7 +39,7 @@ class VerticalAffineSystem(DriftControlSystem):
             v = v.tolist()
             return lambda t, y: v
 
-        return still_base_pass(x0, boundaries, steps, u, rhs_at)
+        return still_base_pass(x0, counts, u, rhs_at)
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,13 @@ class GeneralVerticalSystem:
         if not np.isfinite(value).all():
             raise NumericalError(f"fiber dynamics are not finite at x = {x.tolist()}, y = {y.tolist()}")
 
-    def base_pass(self, x0: BasePoint, boundaries, steps, u: Optional[ControlSignal]):
+    def base_pass(self, x0: BasePoint, boundaries, counts, u: Optional[ControlSignal]):
         """The base does not move; only the fiber is integrated."""
 
         def rhs_at(x, u_k):
             return lambda t, y: np.asarray(self.dynamics(x, np.array(y), u_k), dtype=float).tolist()
 
-        return still_base_pass(x0, boundaries, steps, u, rhs_at)
+        return still_base_pass(x0, counts, u, rhs_at)
 
 
 @dataclass(frozen=True)

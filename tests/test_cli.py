@@ -418,14 +418,38 @@ def test_bump_convergence_commuting_is_flat(capsys):
         ({"t0_fraction": 0.3}, "bump start 0.3 does not land on a node of the 64-segment grid"),
         ({"epsilon_fractions": [0.3, 0.125]}, "bump width fraction 0.3 must divide the horizon evenly"),
         ({"t0_fraction": 0.015625}, "bump start 0.015625 is not a boundary of the 8-segment control"),
+        (
+            {"grid": 40},
+            "bump width fraction 0.0625 gives 16 control segments, which neither align with nor refine the 40-segment grid",
+        ),
     ],
 )
 def test_bump_convergence_rejects_a_bump_off_the_grid(capsys, tmp_path, bump, message):
     doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
-    doc["lifted_system"]["bump"].update(bump)
+    bump, lifted = dict(bump), doc["lifted_system"]
+    lifted["grid"] = bump.pop("grid", lifted["grid"])
+    lifted["bump"].update(bump)
     code = main(["bump-convergence", "--scenario", write_scenario(tmp_path, doc)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("y2", ["pow(pow(x1, 2), 0.5)", "pow(pow(x1, 2), 1.5)", "pow(pow(sin(x1), 2), 0.5)"])
+def test_a_drift_whose_bracket_jacobian_holds_a_dirac_delta(capsys, tmp_path, y2, command):
+    # sympy writes |x1| for these, and the second derivative of |x1| as
+    # DiracDelta, which numpy has no name for.  Only lift-check evaluates the
+    # Jacobian of a bracket: its complete lift is in the identity battery.
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    doc["fields"]["Y"] = ["x2", y2]
+    code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "lift-check":
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "numerical failure: Jacobian of field '[X1,Y]' has DiracDelta, which numpy cannot evaluate\n"
+    else:
+        assert code == 0
 
 
 def test_brackets_without_a_system_block_use_the_middle_of_the_sample_box(capsys, tmp_path):

@@ -88,9 +88,15 @@ def ndarray_joint_flow(Y, x0, boundaries, steps):
         return np.concatenate([value, (jac @ z[n:].reshape(n, n)).ravel()])
 
     z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    times, rows, offsets = ndarray_rk4_segments(lambda k: rhs, z0, boundaries, steps)
+    times, rows, _ = ndarray_rk4_segments(lambda k: rhs, z0, boundaries, steps)
     check_trajectory(x0.manifold, times, rows[:, :n], rows[:, n:])
-    return times, rows[:, :n], rows[:, n:].reshape(-1, n, n), np.array(offsets)
+    return times, rows[:, :n], rows[:, n:].reshape(-1, n, n)
+
+
+def planned_joint_flow(Y, x0, boundaries, cfg):
+    """``joint_flow`` as the library's callers run it: Y at x0, then the plan, then the pass."""
+    Y.at(x0)
+    return joint_flow(Y, x0, boundaries, cfg.plan(boundaries))
 
 
 def bundle_velocity(sys, u_k):
@@ -266,7 +272,7 @@ def test_list_state_passes_are_the_ndarray_rk4_bit_for_bit(case, sign):
     # The joint flow runs over the control's boundaries, backwards too.
     boundaries = sign * segment_boundaries(u, horizon, len(controls))
     assert_same(
-        outcome(lambda: joint_flow(drift, v0.base, boundaries, cfg, cfg.steps_for)),
+        outcome(lambda: planned_joint_flow(drift, v0.base, boundaries, cfg)),
         outcome(lambda: ndarray_joint_flow(drift, v0.base, boundaries, cfg.steps_for)),
     )
     general = GeneralVerticalSystem(manifold, damping(manifold.name, len(controls)), len(controls))

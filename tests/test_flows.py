@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanlift import (
     ChartManifold,
@@ -96,7 +98,7 @@ def test_flow_states_are_the_plain_base_rk4(chart):
     cfg = IntegratorConfig(step=1e-2)
     for Y in _base_fields(manifold):
         for T in (0.7, -0.4):
-            _, states, _ = rk4_segments(lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.steps_for)
+            _, states = rk4_segments(lambda k: lambda t, x: Y.at(x), x0.coords, [0.0, T], cfg.plan([0.0, T]))
             res = flow(Y, x0, T, cfg)
             assert res.jacobians.shape == (len(res.times), 2, 2)
             assert np.array_equal(res.states, states), (chart, Y.name, T)
@@ -113,10 +115,9 @@ def test_flow_domain_exit_reports_time(s2):
 def test_integrate_segments_shares_boundary_rows(r2, shear_fields):
     Y, _ = shear_fields
     boundaries = np.array([0.0, 0.25, 1.0])
-    times, rows, offsets = rk4_segments(lambda k: lambda t, x: Y.at(x), np.array([2.0, -1.0]), boundaries, lambda span: 4)
-    assert offsets == [0, 4, 8]
+    times, rows = rk4_segments(lambda k: lambda t, x: Y.at(x), np.array([2.0, -1.0]), boundaries, np.array([4, 4]))
     assert rows.shape == (9, 2) and times.shape == (9,)
-    assert np.array_equal(times[offsets], boundaries)
+    assert np.array_equal(times[[0, 4, 8]], boundaries)
     assert np.max(np.abs(rows[-1] - [2.0, 1.0])) < 1e-12
 
 
@@ -124,7 +125,7 @@ def test_integrate_segments_checks_final_row(s2):
     # A right-hand side that never evaluates a field leaves the final row
     # as the only one checked against the chart.
     drift = lambda t, x: np.array([1.0, 0.0])
-    times, rows, _ = rk4_segments(lambda k: drift, np.array([0.8, 0.0]), [0.0, 5.0], lambda span: 1)
+    times, rows = rk4_segments(lambda k: drift, np.array([0.8, 0.0]), [0.0, 5.0], np.array([1]))
     with pytest.raises(DomainExitError) as err:
         check_trajectory(s2, times, rows, rows[:, 2:])
     assert err.value.time == 5.0
@@ -132,7 +133,7 @@ def test_integrate_segments_checks_final_row(s2):
 
 def test_integrate_segments_names_non_finite_time(r2):
     blow_up = lambda t, z: [c * c for c in z]
-    times, rows, _ = rk4_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], lambda span: 100)
+    times, rows = rk4_segments(lambda k: blow_up, np.ones(2), [0.0, 0.5, 2.0], np.array([100, 100]))
     with pytest.raises(NumericalError, match=r"non-finite state at t = 1\.0"):
         check_trajectory(r2, times, rows, rows[:, 2:])
 
@@ -141,7 +142,7 @@ def test_integrate_segments_names_non_finite_time(r2):
 def test_a_derivative_of_another_length_than_the_state_is_rejected(entries):
     rhs = lambda t, z: [1.0] * entries
     with pytest.raises(ValueError, match=rf"^right-hand side has length {entries}, state has length 2$"):
-        rk4_segments(lambda k: rhs, np.zeros(2), [0.0, 1.0], lambda span: 4)
+        rk4_segments(lambda k: rhs, np.zeros(2), [0.0, 1.0], np.array([4]))
 
 
 def test_flow_step_budget(r2, shear_fields):
@@ -179,6 +180,69 @@ def test_step_budget_names_the_total_of_the_segments(r2, shear_fields, name):
     for budget in (50, total - 1):
         with pytest.raises(StepBudgetError, match=rf"^horizon 0\.05 needs {total} steps of 0\.001, budget is {budget}$"):
             call(IntegratorConfig(max_steps=budget))
+
+
+@pytest.mark.parametrize("name", ["flow", "build_transport_grid", "simulate_lifted_ode", "endpoint_closed_form"])
+def test_a_drift_not_finite_at_the_start_is_named_before_the_budget(r2, shear_fields, name):
+    # Over the budget of 10 by the span quotient, and by the total of the segments.
+    Y = field_from_expressions(r2, ["1/(x1 - 1)", "x1"], "Y")
+    _, call = _budget_calls(r2, (Y, shear_fields[1]))[name]
+    with pytest.raises(NumericalError, match=r"^field 'Y' is not finite at x = \[1\.0, 0\.0\]$"):
+        call(IntegratorConfig(max_steps=10))
+
+
+_R2 = builtin_manifold("R2")
+_PLAN_SYSTEM = LiftedSystem(
+    _R2,
+    field_from_expressions(_R2, ["0.3 + 0.2*sin(x2)", "0.4*cos(x1)*x2"], "Y"),
+    (field_from_expressions(_R2, ["1", "x1*x2"], "X1"),),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    horizon=st.sampled_from([0.05, 0.13, 0.3, 0.5]) | st.floats(1e-4, 0.5),
+    segments=st.integers(1, 4),
+    sign=st.sampled_from([1.0, -1.0]),
+    step=st.sampled_from([0.01, 1 / 64, 0.003]),
+)
+def test_every_pass_takes_the_steps_of_its_plan(horizon, segments, sign, step):
+    cfg = IntegratorConfig(step=step)
+    u = ControlSignal(horizon=horizon, values=np.linspace(-1.0, 1.0, segments)[:, None])
+    boundaries = sign * u.boundaries
+    counts = cfg.plan(boundaries)
+    assert counts.tolist() == [cfg.steps_for(b - a) for a, b in zip(boundaries[:-1], boundaries[1:])]
+    assert cfg.plan(boundaries, even=True).tolist() == [max(2, c) + max(2, c) % 2 for c in counts.tolist()]
+
+    system = _PLAN_SYSTEM
+    # A new system object each time: the transport memo would skip a repeated pass.
+    fresh = LiftedSystem(system.manifold, system.drift, system.controls)
+    vertical = VerticalAffineSystem(system.manifold, system.drift, system.controls)
+    v0 = system.manifold.tangent_point([0.8, 0.3], [0.2, -0.1])
+    grid = np.linspace(0.0, horizon, segments + 2)
+    simulated = cfg.plan(u.boundaries).sum()
+    runs = {
+        "flow": (lambda: flow(system.drift, v0.base, sign * horizon, cfg), cfg.plan([0.0, sign * horizon]).sum()),
+        "build_transport_grid": (
+            lambda: build_transport_grid(fresh, v0.base, horizon, segments + 1, cfg),
+            cfg.plan(grid, even=True).sum(),
+        ),
+        # A lifted simulation takes a base pass and a fiber pass; a vertical one only the fiber pass.
+        "simulate_lifted_ode": (lambda: simulate_lifted_ode(system, v0, u, cfg), 2 * simulated),
+        "simulate_vertical_ode": (lambda: simulate_vertical_ode(vertical, v0, u, cfg), simulated),
+    }
+    rk4_step, steps = flows._rk4_step, [0]
+
+    def counted_step(*args):
+        steps[0] += 1
+        return rk4_step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "_rk4_step", counted_step)
+        for name, (run, total) in runs.items():
+            steps[0] = 0
+            run()
+            assert steps[0] == total, name
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])

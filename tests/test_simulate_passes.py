@@ -73,7 +73,7 @@ def bundle_rk4(sys, v0, u, cfg=DEFAULT_CONFIG, horizon=None):
         return lambda t, z: velocity(z, u_seg)
 
     n = sys.manifold.dim
-    times, rows, _ = rk4_segments(rhs_for, v0.as_vector(), boundaries, cfg.steps_for)
+    times, rows = rk4_segments(rhs_for, v0.as_vector(), boundaries, cfg.plan(boundaries))
     check_trajectory(sys.manifold, times, rows[:, :n], rows[:, n:])
     return times, rows[:, :n], rows[:, n:]
 

@@ -190,8 +190,8 @@ def test_every_rk4_stage_of_a_moving_base_calls_check_once(counted, name):
     u = ControlSignal(horizon=0.05, values=[[0.4], [-0.6]])
     steps = DEFAULT_CONFIG.steps_for
     for run, boundaries in (
-        (lambda b: joint_flow(Y, x0, b, DEFAULT_CONFIG, steps), [0.0, 0.013, 0.05]),
-        (lambda b: system.base_pass(x0, b, steps, u), [0.0, 0.025, 0.05]),
+        (lambda b: joint_flow(Y, x0, b, DEFAULT_CONFIG.plan(b)), [0.0, 0.013, 0.05]),
+        (lambda b: system.base_pass(x0, b, DEFAULT_CONFIG.plan(b), u), [0.0, 0.025, 0.05]),
     ):
         n_steps = steps(boundaries[1] - boundaries[0]) + steps(boundaries[2] - boundaries[1])
         counted.update(check=0, step=0)
