@@ -60,18 +60,23 @@ def linear_combination(a: float, X: VectorField, b: float, Y: VectorField) -> Ve
 def _test_function(manifold: ChartManifold):
     """A fixed scalar function with analytic gradient and Hessian.
 
-    Only the first two coordinates enter, which covers every built-in
-    chart; higher-dimensional charts get a function constant in the
-    extra coordinates.
+    On a 2-D chart it is sin(x1) x2 + cos(x2).  Each further coordinate
+    x_k adds the term sin(x_k) x_(k-1), so that every coordinate enters.
     """
 
     def f(x):
-        return np.sin(x[0]) * x[1] + np.cos(x[1])
+        value = np.sin(x[0]) * x[1] + np.cos(x[1])
+        for k in range(2, manifold.dim):
+            value = value + np.sin(x[k]) * x[k - 1]
+        return value
 
     def grad(x):
         g = np.zeros(manifold.dim)
         g[0] = np.cos(x[0]) * x[1]
         g[1] = np.sin(x[0]) - np.sin(x[1])
+        for k in range(2, manifold.dim):
+            g[k - 1] += np.sin(x[k])
+            g[k] = np.cos(x[k]) * x[k - 1]
         return g
 
     def hess(x):
@@ -79,6 +84,9 @@ def _test_function(manifold: ChartManifold):
         H[0, 0] = -np.sin(x[0]) * x[1]
         H[0, 1] = H[1, 0] = np.cos(x[0])
         H[1, 1] = -np.cos(x[1])
+        for k in range(2, manifold.dim):
+            H[k, k] = -np.sin(x[k]) * x[k - 1]
+            H[k - 1, k] = H[k, k - 1] = np.cos(x[k])
         return H
 
     return f, grad, hess

@@ -285,9 +285,7 @@ def cmd_bump_convergence(run: _Run) -> tuple:
             f"bump start {bump.t0_fraction} does not land on a node of the {N}-segment grid"
         )
     node_index = int(round(node_index))
-    grid = build_transport_grid(block.system, block.initial.base, T, N, run.cfg)
-    reference = grid.columns[node_index, bump.channel]
-    table = []
+    signals = []
     for frac in bump.epsilon_fractions:
         segments = 1.0 / frac
         if abs(segments - round(segments)) > 1e-9:
@@ -303,11 +301,13 @@ def cmd_bump_convergence(run: _Run) -> tuple:
             raise ScenarioError(
                 f"bump start {bump.t0_fraction} is not a boundary of the {segments}-segment control"
             )
-        signal = ControlSignal.bump(T, segments, int(round(start)), bump.channel, m)
-        value = apply_LT(grid, signal)
-        table.append(
-            {"epsilon": frac * T, "error": float(np.linalg.norm(value - reference))}
-        )
+        signals.append((frac, ControlSignal.bump(T, segments, int(round(start)), bump.channel, m)))
+    grid = build_transport_grid(block.system, block.initial.base, T, N, run.cfg)
+    reference = grid.columns[node_index, bump.channel]
+    table = [
+        {"epsilon": frac * T, "error": float(np.linalg.norm(apply_LT(grid, signal) - reference))}
+        for frac, signal in signals
+    ]
     errors = np.array([row["error"] for row in table])
     if np.max(errors) > 1e-12:
         logs_eps = np.log([row["epsilon"] for row in table])

@@ -374,10 +374,10 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
             entries = list(column) + list(jacobian())
             f_kernel = _compile(printer, args, entries, f"Jacobian of field {name!r}")
             printer, on_floats = None, _power_free(entries)
-        return f_kernel(*(x.tolist() if on_floats else x))
+        return f_kernel(*(x if on_floats else np.array(x, dtype=float)))
 
     def jac(x):
-        return np.array(kernel(x)[n:], dtype=float).reshape(n, n)
+        return np.array(kernel(x.tolist())[n:], dtype=float).reshape(n, n)
 
     return VectorField(
         manifold=manifold,

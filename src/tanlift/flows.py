@@ -1,21 +1,17 @@
 """Numerical flows of base vector fields and their differentials.
 
-Integration is fixed-step classical RK4; the flow differential solves
-the variational equation dJ/dt = J_Y(x(t)) J jointly with the base flow,
-so Jacobians are available at every grid node of a single pass.
-Transported control directions (the pullback of a field along the drift
-flow into the initial tangent space) come from one batched linear solve
-over the step states of a pass.
-
-The RK4 state is a list of Python scalars, because a state of 2 to n + n²
-entries costs more in numpy's per-call overhead than in arithmetic.  The
-matrix products of a stage, J_Y·J in the joint pass and J_s·y in a lifted
-fiber pass, stay numpy ``@`` on C-contiguous arrays: BLAS fuses their
-multiply-adds, which a product written in Python floats would not.
+Integration is fixed-step classical RK4 on lists of Python floats, which
+cost less than numpy at 2 to n² entries.  A drift pass is recorded once:
+each stage point is tested against the chart as floats and makes one
+evaluation of the drift's coefficients and Jacobian J_s.  A linear pass
+over the record gives the flow differential, J' = J_s J from J = I, or a
+lifted fiber, y' = J_s y + sum_i u_i X_i(x_s); its products stay BLAS on
+C-contiguous arrays, whose fused multiply-adds the values depend on.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,10 +48,9 @@ class IntegratorConfig:
         """Step counts of the segments [boundaries[k], boundaries[k + 1]] of one pass.
 
         Each is ``steps_for`` of the span, or with ``even`` at least 2 and
-        even, for Simpson's rule.  ``max_steps`` bounds the whole pass.  The
-        segments need at least horizon / step steps, so a pass over the budget
-        by that quotient is rejected before any count is formed, and a count
-        too large to print or to hold in a float never is.
+        even, for Simpson's rule.  ``max_steps`` bounds the whole pass, and a
+        pass over it by horizon / step is rejected before any count is formed,
+        so a count too large to print or to hold in a float never is.
         """
         span = float(boundaries[-1] - boundaries[0])
         if math.isfinite(span) and abs(span) / self.step > self.max_steps:
@@ -74,12 +69,10 @@ DEFAULT_CONFIG = IntegratorConfig()
 
 @dataclass(frozen=True)
 class FlowResult:
-    """States and flow Jacobians at the nodes of one joint flow pass.
+    """States and flow Jacobians at the nodes of one flow pass.
 
-    ``states[k]`` approximates the flow at ``times[k]`` starting from
-    ``states[0]``; ``jacobians[k]`` is the differential of the
-    time-``times[k]`` flow map at the initial point (identity at the
-    start).
+    ``states[k]`` approximates the flow at ``times[k]`` from ``states[0]``;
+    ``jacobians[k]`` is the differential of that flow map at ``states[0]``.
     """
 
     manifold: ChartManifold
@@ -122,11 +115,9 @@ class TangentTrajectory:
 
 
 def _rk4_step(f, t, z, h):
-    """One classical RK4 step of a state held as a list of scalars.
+    """One classical RK4 step of a list of scalars, rounding as numpy's element-wise ufuncs would.
 
-    Each element is formed in numpy's order of operations for ``z + (0.5*h)*k``
-    and ``z + (h/6)*(((k1 + 2k2) + 2k3) + k4)``, so it rounds as the
-    element-wise ufuncs on arrays would.
+    Each element is formed in numpy's order for ``z + (0.5*h)*k`` and ``z + (h/6)*(((k1 + 2k2) + 2k3) + k4)``.
     """
     half = 0.5 * h
     k1 = f(t, z)
@@ -141,13 +132,11 @@ def _rk4_step(f, t, z, h):
 
 
 def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
-    """RK4 over [t0, t1] in n_steps equal steps; returns (times, states) arrays.
+    """RK4 over [t0, t1] in n_steps equal steps of a list of Python floats; returns (times, states) arrays.
 
-    The state is stepped as a list of Python floats: ``f(t, z)`` takes
-    one such list and returns the derivative as a sequence of scalars.
-    ChartDomainError raised by the right-hand side is rewrapped as a
-    DomainExitError carrying the time of the failing step, or as a
-    NumericalError when the rejected coordinates are not finite.
+    ``f(t, z)`` returns the derivative as a sequence of scalars.  A
+    ChartDomainError it raises becomes a DomainExitError at the time of
+    the failing step, or a NumericalError if the coordinates are not finite.
     """
     times = np.linspace(t0, t1, n_steps + 1)
     states = [np.asarray(z0, dtype=float).tolist()]
@@ -168,13 +157,12 @@ def integrate_fixed(f, z0: np.ndarray, t0: float, t1: float, n_steps: int):
 
 
 def rk4_segments(rhs_for, z0: np.ndarray, boundaries, counts):
-    """RK4 over consecutive segments [boundaries[k], boundaries[k + 1]].
+    """RK4 over the segments [boundaries[k], boundaries[k + 1]], ``counts[k]`` steps on each.
 
-    ``rhs_for(k)`` is the right-hand side on segment k and ``counts[k]``
-    its step count, from ``IntegratorConfig.plan``, so no step crosses a
-    boundary.  Returns (times, rows): each node once, segment k spanning
-    rows sum(counts[:k]) through sum(counts[:k + 1]).  The rows are not
-    checked: callers pass them to ``check_trajectory``.
+    ``rhs_for(k)`` is the right-hand side on segment k, so no step crosses a
+    boundary.  Returns (times, rows), each node once, segment k spanning rows
+    sum(counts[:k]) through sum(counts[:k + 1]); callers check the rows with
+    ``check_trajectory``.
     """
     times = [np.asarray(boundaries[:1], dtype=float)]
     rows = [z0[None, :]]
@@ -191,13 +179,11 @@ def rk4_segments(rhs_for, z0: np.ndarray, boundaries, counts):
 
 
 def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarray, others: np.ndarray) -> None:
-    """Reject a trajectory with a non-finite row or a final base outside the chart.
+    """Reject a trajectory with a non-finite row, naming its time, or a final base outside the chart.
 
-    Row k of ``bases`` and of ``others`` (the rest of the state) is the
-    node at ``times[k]``.  A non-finite row raises NumericalError naming
-    its time.  Every base row but the last was domain-checked as the first
-    stage of the next step, or equals a checked point, so only the last is
-    checked here.
+    Row k of ``bases`` and of ``others`` (the rest of the state) is the node
+    at ``times[k]``.  Every base row but the last was tested as the first
+    stage of the next step, or equals a tested point.
     """
     finite = np.isfinite(bases).all(axis=1) & np.isfinite(others).all(axis=1)
     if not finite.all():
@@ -211,25 +197,61 @@ def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarr
         )
 
 
-def joint_flow(Y: VectorField, x0: BasePoint, boundaries, counts):
-    """Base flow of Y joined with dJ/dt = J_Y(x) J, J(0) = I, in one RK4 pass.
+def drift_record(Y: VectorField, x0: BasePoint, boundaries, counts) -> tuple:
+    """RK4 of Y from x0 over the planned ``counts``: (times, states, points, jacobians).
 
-    Returns (times, states, jacobians), the nodes of ``rk4_segments`` over
-    the planned ``counts``, after ``check_trajectory``.  The caller
-    evaluates Y at x0 before it plans, so a field that is not finite there
-    is named before the step budget is checked.
+    Each stage point, a list of Python floats, passes ``check_floats`` once
+    and then makes one ``value_and_jacobian`` call.  ``points``, (S, n), and
+    ``jacobians``, (S, n, n), hold the S stages in RK4's order, four per
+    step, in flat buffers: a per-stage object would cost several times the
+    memory of the states.  The nodes are not yet checked.
     """
+    points, jacobians = array.array("d"), array.array("d")
+
+    def rhs(t, x):
+        Y.manifold.check_floats(x)
+        value, jac = Y.value_and_jacobian(x)
+        points.fromlist(x)
+        jacobians.frombytes(jac.tobytes())
+        return value.tolist()
+
+    times, states = rk4_segments(lambda k: rhs, x0.coords, boundaries, counts)
     n = x0.manifold.dim
+    return times, states, np.frombuffer(points).reshape(-1, n), np.frombuffer(jacobians).reshape(-1, n, n)
+
+
+def linear_rhs(jacobians, shape: tuple, terms=None):
+    """Right-hand side of Z' = J_s Z + sum(terms[s]), called once per recorded stage s in order.
+
+    Z is a fiber, ``shape`` (n,), or a differential, ``shape`` (n, n), as a
+    row-major list.  ``terms`` yields, stage by stage, the list of vectors
+    u_i X_i(x_s) added at stage s; none by default.  ``ndarray.dot`` is the BLAS product of ``@``
+    on the same shapes, without its ufunc dispatch.
+    """
+    stages = zip(jacobians, itertools.repeat(()) if terms is None else terms)
 
     def rhs(t, z):
-        value, jac = Y.value_and_jacobian(Y.manifold.check(z[:n]))
-        return value.tolist() + (jac @ np.array(z[n:]).reshape(n, n)).ravel().tolist()
+        jac, added = next(stages)
+        v = jac.dot(np.array(z).reshape(shape)).ravel().tolist()
+        for term in added:
+            v = [a + b for a, b in zip(v, term)]
+        return v
 
-    z0 = np.concatenate([x0.coords, np.eye(n).ravel()])
-    times, rows = rk4_segments(lambda k: rhs, z0, boundaries, counts)
-    states, jacobians = rows[:, :n], rows[:, n:]
-    check_trajectory(x0.manifold, times, states, jacobians)
-    return times, states, jacobians.reshape(-1, n, n)
+    return rhs
+
+
+def flow_segments(Y: VectorField, x0: BasePoint, boundaries, counts) -> tuple:
+    """(times, states, jacobians) of the drift record of Y from x0 and its J pass, checked.
+
+    The caller evaluates Y at x0 before it plans ``counts``, so a field
+    that is not finite there is named before the step budget is checked.
+    """
+    n = x0.manifold.dim
+    times, states, _, jacobians = drift_record(Y, x0, boundaries, counts)
+    rhs = linear_rhs(jacobians, (n, n))
+    rows = rk4_segments(lambda k: rhs, np.eye(n).ravel(), boundaries, counts)[1]
+    check_trajectory(x0.manifold, times, states, rows)
+    return times, states, rows.reshape(-1, n, n)
 
 
 def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) -> TangentTrajectory:
@@ -237,16 +259,12 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
 
     The velocity is Y^c + sum_i u_i Xi^v for a lifted system, X0^v +
     sum_i u_i Xi^v for an affine vertical one and (0, f(x, y, u)) for a
-    general vertical one.  The base velocity never depends on the fiber
-    and RK4 treats every coordinate alike, so the base is integrated first
-    and the fiber after it, with the values of RK4 on the whole bundle bit
-    for bit.
-    ``sys.base_pass(x0, boundaries, counts, u)`` returns the base rows and
-    ``rhs_for(k)``: the fiber right-hand side on segment k, called once
-    per RK4 stage in order.  Before any step,
-    ``sys._check_start(v0, u)`` evaluates the system at its start, so a
-    field or fiber dynamics that is not finite there is named, and then
-    ``cfg.plan`` fixes the step counts both passes take.
+    general vertical one.  The base never depends on the fiber and RK4
+    treats every coordinate alike, so a base pass and then a fiber pass
+    give RK4 on the whole bundle bit for bit.  ``sys.base_pass`` returns
+    the base rows and ``rhs_for(k)``, the fiber right-hand side on segment
+    k.  ``sys._check_start(v0, u)`` first names a value not finite at the
+    start, and then ``cfg.plan`` fixes the step counts of both passes.
     """
     boundaries = segment_boundaries(u, horizon, sys.control_dim)
     sys._check_start(v0, u)
@@ -259,12 +277,11 @@ def simulate_bundle(sys, v0: TangentPoint, u, cfg: IntegratorConfig, horizon) ->
 
 
 def still_base_pass(x0: BasePoint, counts, u, rhs_at):
-    """``base_pass`` of a system whose base does not move.
+    """``base_pass`` of a system whose base does not move; ``rhs_at(x, u_k)`` is its fiber right-hand side.
 
     The base is x0 in the first row and at the first RK4 stage, and x0 + 0.0
     after them: RK4 of the whole bundle adds a zero velocity, which turns
-    -0.0 into +0.0.  ``rhs_at(x, u_k)`` is the fiber right-hand side over
-    base x under the input u_k of one segment.
+    -0.0 into +0.0.
     """
     moved = x0.coords + 0.0
 
@@ -282,8 +299,7 @@ def still_base_pass(x0: BasePoint, counts, u, rhs_at):
 def flow(Y: VectorField, x0: BasePoint, T: float, cfg: IntegratorConfig = DEFAULT_CONFIG) -> FlowResult:
     """Flow of dx/dt = Y(x) from x0 over [0, T] (T may be negative), with its differential."""
     Y.at(x0)
-    times, states, jacobians = joint_flow(Y, x0, [0.0, T], cfg.plan([0.0, T]))
-    return FlowResult(manifold=x0.manifold, times=times, states=states, jacobians=jacobians)
+    return FlowResult(x0.manifold, *flow_segments(Y, x0, [0.0, T], cfg.plan([0.0, T])))
 
 
 def flow_differential(

@@ -10,7 +10,6 @@ with an iterated-bracket sufficient criterion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,10 +22,11 @@ from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps 
     FlowResult,
     IntegratorConfig,
     TangentTrajectory,
+    drift_record,
+    flow_segments,
     integrate_fixed,
-    joint_flow,
+    linear_rhs,
     pullback_vector,
-    rk4_segments,
     simulate_bundle,
 )
 from .lifts import base_lie_bracket
@@ -45,57 +45,30 @@ class LiftedSystem(DriftControlSystem):
     """dv/dt = Y^c(v) + sum_i u_i Xi^v(v) on the tangent bundle."""
 
     def base_pass(self, x0: BasePoint, boundaries, counts, u: Optional[ControlSignal]):
-        """Base rows of the drift flow from x0, and the fiber right-hand sides.
+        """The drift record's rows, and the fiber right-hand side over its stages.
 
-        Each base stage is checked once and records its point and the
-        drift Jacobian J there.  Under an input the controls are then
-        evaluated once over all stage points; without one there are no
-        control terms.  The fiber right-hand side at stage s is
-        J_s y + sum_i u_i Xi(x_s), the fiber block of Y^c + sum_i u_i Xi^v.
+        At stage s it is J_s y + sum_i u_i Xi(x_s), the fiber block of Y^c +
+        sum_i u_i Xi^v; each control is evaluated once over all stage points.
         """
-        n_stages = 4 * counts.sum()
-        points = np.empty((n_stages, x0.dim))
-        jacobians = np.empty((n_stages, x0.dim, x0.dim))
-        stages = itertools.count()
-
-        def base_rhs(t, x):
-            x = self.manifold.check(x)
-            s = next(stages)
-            points[s] = x
-            value, jacobians[s] = self.drift.value_and_jacobian(x)
-            return value.tolist()
-
-        _, bases = rk4_segments(lambda k: base_rhs, x0.coords, boundaries, counts)
-        if u is None:
-            terms = np.empty((n_stages, 0, x0.dim))
-        else:
+        _, bases, points, jacobians = drift_record(self.drift, x0, boundaries, counts)
+        terms = None
+        if u is not None:
             # Each RK4 step has four stages, all under the input of its segment.
-            inputs = np.repeat(u.values, 4 * counts, axis=0)
-            terms = inputs[:, :, None] * np.stack([X.at_rows(points) for X in self.controls], axis=1)
-        stages = itertools.count()
-
-        def fiber_rhs(t, y):
-            s = next(stages)
-            v = (jacobians[s] @ np.array(y)).tolist()
-            for term in terms[s].tolist():
-                v = [a + b for a, b in zip(v, term)]
-            return v
-
-        return bases, lambda k: fiber_rhs
+            inputs = np.repeat(u.values, 4 * counts, axis=0)[:, :, None]
+            terms = map(np.ndarray.tolist, inputs * np.stack([X.at_rows(points) for X in self.controls], axis=1))
+        rhs = linear_rhs(jacobians, (x0.dim,), terms)
+        return bases, lambda k: rhs
 
 
 @dataclass(frozen=True)
 class TransportOperatorGrid(FlowResult):
-    """Control-to-fiber transport data at the nodes of one joint flow pass.
+    """Control-to-fiber transport data at the nodes of one flow pass.
 
-    The node ``times``, ``states`` and ``jacobians`` are those of the
-    flow.  ``transported[k, i]`` is control direction i pulled back to
-    the initial tangent space at node time ``times[k]``; ``columns[k, i]``
-    is the same vector pushed forward to the endpoint fiber (the
-    integrand of the transport operator).  ``integrals[k, i]`` is the
-    Simpson integral of that integrand over segment k, from
-    ``times[k]`` to ``times[k + 1]``.  Every array is read-only, because
-    one grid is shared by all callers that ask for the same pass.
+    ``transported[k, i]`` is control direction i pulled back to the initial
+    tangent space at ``times[k]``, and ``columns[k, i]`` the same vector
+    pushed forward to the endpoint fiber, the integrand of the transport
+    operator.  ``integrals[k, i]`` is its Simpson integral over segment k.
+    Every array is read-only: one grid is shared by all callers of a pass.
     """
 
     transported: np.ndarray
@@ -149,14 +122,11 @@ def _transport_segments(
 ) -> TransportOperatorGrid:
     """The transport grid of (sys, x0, boundaries, cfg), from one pass shared by all callers.
 
-    The transport operator is fixed by the system, the base point, the
-    node times and the integrator, so the closed form, ``L_T``, the
-    reachable set and steering all read the same grid.  The last grid is
-    kept.  A hit needs the very same system and manifold objects, the same
-    bytes of x0 and the boundaries and an equal config; fields are pure,
-    so a second pass would repeat every bit.  A pass that raises is not
-    kept.  The memo is read once and replaced whole, so two threads may
-    both miss and run the same pass, and each gets its own key's grid.
+    The last grid is kept.  A hit needs the very same system and manifold
+    objects, the same bytes of x0 and the boundaries and an equal config;
+    fields are pure, so a second pass would repeat every bit.  A pass that
+    raises is not kept.  The memo is read once and replaced whole, so two
+    threads may both miss and run the same pass, each getting its own grid.
     """
     global _transport_memo
     key = (x0.coords.tobytes(), boundaries.tobytes(), cfg)
@@ -171,17 +141,16 @@ def _transport_segments(
 def _transport_pass(
     sys: LiftedSystem, x0: BasePoint, boundaries: np.ndarray, cfg: IntegratorConfig
 ) -> TransportOperatorGrid:
-    """One joint flow pass with per-segment Simpson transport integrals.
+    """One flow pass with Simpson transport integrals per segment, on a grid of the segment boundaries.
 
-    The nodes of the returned grid are the segment boundaries.  Each
-    segment is integrated in an even number of RK4 steps, every step
-    state is pulled back once, and Simpson's rule over those states
-    gives the segment's integral before the push to the endpoint fiber.
+    Each segment takes an even number of RK4 steps; every step state is
+    pulled back once, and Simpson's rule over them gives the segment's
+    integral before the push to the endpoint fiber.
     """
     n = sys.manifold.dim
     sys.drift.at(x0)
     counts = cfg.plan(boundaries, even=True)
-    times, xs, Js = joint_flow(sys.drift, x0, boundaries, counts)
+    times, xs, Js = flow_segments(sys.drift, x0, boundaries, counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F = np.stack([X.at_rows(xs) for X in sys.controls], axis=1)

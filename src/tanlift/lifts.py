@@ -86,7 +86,7 @@ def complete_lift(X: VectorField) -> LiftedVectorField:
 
     def func(w):
         n = X.manifold.dim
-        value, jac = X.value_and_jacobian(w[:n])
+        value, jac = X.value_and_jacobian(w[:n].tolist())
         return np.concatenate([value, jac @ w[n:]])
 
     return LiftedVectorField(
@@ -114,6 +114,7 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         return field_from_symbolic(X.manifold, column, args, name)
 
     def func(x):
+        x = x.tolist()
         x_value, x_jac = X.value_and_jacobian(x)
         y_value, y_jac = Y.value_and_jacobian(x)
         return y_jac @ x_value - x_jac @ y_value

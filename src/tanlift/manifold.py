@@ -55,8 +55,7 @@ class ChartManifold:
                 f"need lower < upper in every coordinate, got {lower.tolist()} and {upper.tolist()}"
             )
         object.__setattr__(self, "bounds", (lower, upper))
-        # The box as Python floats, for the domain test of ``check``; an
-        # attribute, not a field, because the fields are the chart's data.
+        # The box as Python floats for ``check_floats``: an attribute, as the fields are the chart's data.
         object.__setattr__(self, "_box", tuple(zip(lower.tolist(), upper.tolist())))
         if self.sample_bounds is not None:
             self.sample_box()
@@ -76,20 +75,23 @@ class ChartManifold:
         lower, upper = self.bounds
         return ((lower < rows) & (rows < upper)).all(axis=-1)
 
-    def check(self, coords) -> np.ndarray:
-        """Validate a raw coordinate vector against the chart domain.
+    def check_floats(self, values: list, coords: Optional[np.ndarray] = None) -> None:
+        """The domain test: each of ``dim`` Python floats passes ``lo < c < hi``, as NaN and +-inf do not.
 
-        The input goes through ``_as_vector``, which returns a float64
-        array of shape (dim,) itself.  Its entries must pass ``lo < c < hi``
-        as Python floats, which NaN and +-inf fail as they fail ``in_domain``.
+        A failure raises ChartDomainError carrying ``coords``, by default the values as an array.
         """
-        arr = _as_vector(coords, self.dim, "coordinates")
-        for c, (lo, hi) in zip(arr.tolist(), self._box):
+        for c, (lo, hi) in zip(values, self._box):
             if not lo < c < hi:
+                coords = np.array(values, dtype=float) if coords is None else coords
                 raise ChartDomainError(
-                    f"coordinates {arr.tolist()} outside the domain of chart '{self.name}'",
-                    coords=arr,
+                    f"coordinates {coords.tolist()} outside the domain of chart '{self.name}'",
+                    coords=coords,
                 )
+
+    def check(self, coords) -> np.ndarray:
+        """A raw coordinate vector as a float64 array of shape (dim,), itself if it is one, after ``check_floats``."""
+        arr = _as_vector(coords, self.dim, "coordinates")
+        self.check_floats(arr.tolist(), arr)
         return arr
 
     def point(self, coords) -> "BasePoint":
@@ -164,9 +166,9 @@ class VectorField:
     makes Lie-bracket recursion exact; hand-built fields fall back to
     central finite differences.
 
-    A compiled field also carries ``kernel``, one function that maps a
-    coordinate vector to the coefficients followed by the row-major
-    Jacobian entries.  ``vectorized`` says that ``func`` also takes an
+    A compiled field also carries ``kernel``, one function that maps
+    coordinates as Python floats to the coefficients followed by the
+    row-major Jacobian entries.  ``vectorized`` says that ``func`` also takes an
     (n, B) array of coordinate columns and returns one entry per
     coefficient, an array of B values or a constant, each equal to what
     the B single-point calls give.
@@ -177,7 +179,7 @@ class VectorField:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "X"
     sym: Optional[object] = field(default=None, repr=False)
-    kernel: Optional[Callable[[np.ndarray], Sequence]] = field(default=None, repr=False)
+    kernel: Optional[Callable[[list], Sequence]] = field(default=None, repr=False)
     vectorized: bool = False
 
     def _coords(self, point) -> np.ndarray:
@@ -203,23 +205,24 @@ class VectorField:
         """
         coords = self._coords(point)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            jac = self.value_and_jacobian(coords)[1]
+            jac = self.value_and_jacobian(coords.tolist())[1]
         if not np.isfinite(jac).all():
             raise NumericalError(f"Jacobian of field {self.name!r} is not finite at x = {coords.tolist()}")
         return jac
 
-    def value_and_jacobian(self, coords: np.ndarray) -> tuple:
-        """Coefficients and Jacobian at coordinates the caller has already checked.
+    def value_and_jacobian(self, x: list) -> tuple:
+        """Coefficients and Jacobian at a checked point given as ``dim`` Python floats.
 
         A compiled field makes one ``kernel`` call; any other field goes
-        through ``func`` and ``jac`` (or central differences).  The
-        Jacobian is C-contiguous whatever the layout ``jac`` returns, since
-        BLAS rounds ``@`` differently on a transposed one.
+        through ``func`` and ``jac`` (or central differences) on an array.
+        The Jacobian is C-contiguous whatever the layout ``jac`` returns,
+        since BLAS rounds ``@`` differently on a transposed one.
         """
         n = self.manifold.dim
         if self.kernel is not None:
-            flat = np.array(self.kernel(coords), dtype=float)
+            flat = np.array(self.kernel(x), dtype=float)
             return flat[:n], flat[n:].reshape(n, n)
+        coords = np.array(x, dtype=float)
         value = self.value(coords)
         if self.jac is None:
             return value, numeric_jacobian(self, coords)

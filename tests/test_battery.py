@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tanlift import builtin_manifold, field_from_callable, field_from_expressions, load_scenario
+from tanlift import ChartManifold, builtin_manifold, field_from_callable, field_from_expressions, load_scenario
 from tanlift import lifts, manifold
 from tanlift.battery import (
     IDENTITIES,
@@ -27,7 +27,7 @@ from tanlift.lifts import (
     lie_bracket,
     vertical_lift,
 )
-from tanlift.manifold import dprojection, sample_tangent_points
+from tanlift.manifold import central_differences, dprojection, numeric_gradient, sample_tangent_points
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -107,6 +107,36 @@ def test_battery_equals_the_per_pair_brackets_with_powers_and_no_jacobian(chart)
     assert fields[2].jac is None
     expected = per_pair_battery(m, fields, 25, 3)
     assert run_identity_battery(m, fields, 25, 3) == expected
+
+
+def test_the_test_function_has_a_term_in_every_coordinate():
+    m3 = ChartManifold(dim=3, name="R3")
+    f, grad, hess = _test_function(m3)
+    for x in ([0.3, -0.7, 1.1], [-1.2, 0.4, -0.2]):
+        x = np.array(x)
+        g = grad(x)
+        assert g[2] == np.cos(x[2]) * x[1] != 0.0
+        assert np.allclose(g, numeric_gradient(f, x), rtol=0.0, atol=1e-9)
+        assert np.allclose(hess(x), central_differences(grad, x), rtol=0.0, atol=1e-9)
+        assert np.array_equal(hess(x), hess(x).T)
+    # On a 2-D chart the function is sin(x1) x2 + cos(x2), as it always was.
+    f2, grad2, _ = _test_function(builtin_manifold("R2"))
+    x = np.array([0.3, -0.7])
+    assert f2(x) == np.sin(x[0]) * x[1] + np.cos(x[1])
+    assert np.array_equal(grad2(x), [np.cos(x[0]) * x[1], np.sin(x[0]) - np.sin(x[1])])
+
+
+def test_battery_passes_for_fields_that_depend_on_x3():
+    m3 = ChartManifold(dim=3, name="R3")
+    fields = [
+        field_from_expressions(m3, ["sin(x3)", "x1*cos(x3)", "0.5*x2"], "A"),
+        field_from_expressions(m3, ["x3*x2", "1", "cos(x1) - sin(x3)"], "B"),
+        field_from_callable(m3, lambda x: np.array([np.cos(x[2]), x[0] * x[2], np.sin(x[1])]), name="H"),
+    ]
+    records = run_identity_battery(m3, fields, 20, 5)
+    assert [r["identity"] for r in records] == [name for _, name, _ in IDENTITIES]
+    assert all(r["pass"] for r in records), records
+    assert records == per_pair_battery(m3, fields, 20, 5)
 
 
 def test_lift_check_makes_one_stencil_per_lift_per_sample_point(monkeypatch):

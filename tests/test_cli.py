@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tanlift.lifted
 from tanlift import NumericalError, ScenarioError, load_scenario
 from tanlift.cli import _COMMANDS, main
 from tanlift.reportio import dumps
@@ -422,16 +423,26 @@ def test_bump_convergence_commuting_is_flat(capsys):
             {"grid": 40},
             "bump width fraction 0.0625 gives 16 control segments, which neither align with nor refine the 40-segment grid",
         ),
+        (
+            {"horizon": 20.0, "--grid": "40"},
+            "bump width fraction 0.0625 gives 16 control segments, which neither align with nor refine the 40-segment grid",
+        ),
     ],
 )
-def test_bump_convergence_rejects_a_bump_off_the_grid(capsys, tmp_path, bump, message):
+def test_bump_convergence_rejects_a_bump_off_the_grid(capsys, tmp_path, monkeypatch, bump, message):
     doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
     bump, lifted = dict(bump), doc["lifted_system"]
     lifted["grid"] = bump.pop("grid", lifted["grid"])
+    lifted["horizon"] = bump.pop("horizon", lifted["horizon"])
+    flags = ["--grid", bump.pop("--grid")] if "--grid" in bump else []
     lifted["bump"].update(bump)
-    code = main(["bump-convergence", "--scenario", write_scenario(tmp_path, doc)])
+    # Every bump is rejected before the transport pass runs.
+    passes = []
+    monkeypatch.setattr(tanlift.lifted, "_transport_pass", lambda *args: passes.append(args))
+    code = main(["bump-convergence", "--scenario", write_scenario(tmp_path, doc), *flags])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert passes == []
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))

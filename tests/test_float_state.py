@@ -34,7 +34,7 @@ from tanlift import (
 )
 from tanlift.controls import segment_boundaries
 from tanlift.errors import ChartDomainError
-from tanlift.flows import check_trajectory, joint_flow
+from tanlift.flows import check_trajectory, flow_segments
 
 
 def ndarray_rk4_step(f, t, z, h):
@@ -93,10 +93,10 @@ def ndarray_joint_flow(Y, x0, boundaries, steps):
     return times, rows[:, :n], rows[:, n:].reshape(-1, n, n)
 
 
-def planned_joint_flow(Y, x0, boundaries, cfg):
-    """``joint_flow`` as the library's callers run it: Y at x0, then the plan, then the pass."""
+def planned_flow(Y, x0, boundaries, cfg):
+    """``flow_segments`` as the library's callers run it: Y at x0, then the plan, then the pass."""
     Y.at(x0)
-    return joint_flow(Y, x0, boundaries, cfg.plan(boundaries))
+    return flow_segments(Y, x0, boundaries, cfg.plan(boundaries))
 
 
 def bundle_velocity(sys, u_k):
@@ -269,10 +269,10 @@ def _failing_case(drift, control, base, horizon):
 def test_list_state_passes_are_the_ndarray_rk4_bit_for_bit(case, sign):
     manifold, drift, controls, v0, u, horizon, step = case
     cfg = IntegratorConfig(step=step)
-    # The joint flow runs over the control's boundaries, backwards too.
+    # The flow runs over the control's boundaries, backwards too.
     boundaries = sign * segment_boundaries(u, horizon, len(controls))
     assert_same(
-        outcome(lambda: planned_joint_flow(drift, v0.base, boundaries, cfg)),
+        outcome(lambda: planned_flow(drift, v0.base, boundaries, cfg)),
         outcome(lambda: ndarray_joint_flow(drift, v0.base, boundaries, cfg.steps_for)),
     )
     general = GeneralVerticalSystem(manifold, damping(manifold.name, len(controls)), len(controls))

@@ -221,13 +221,14 @@ def test_every_pass_takes_the_steps_of_its_plan(horizon, segments, sign, step):
     v0 = system.manifold.tangent_point([0.8, 0.3], [0.2, -0.1])
     grid = np.linspace(0.0, horizon, segments + 2)
     simulated = cfg.plan(u.boundaries).sum()
+    # A flow and a transport pass take a base pass and a J pass, a lifted
+    # simulation a base pass and a fiber pass; a vertical one only the fiber pass.
     runs = {
-        "flow": (lambda: flow(system.drift, v0.base, sign * horizon, cfg), cfg.plan([0.0, sign * horizon]).sum()),
+        "flow": (lambda: flow(system.drift, v0.base, sign * horizon, cfg), 2 * cfg.plan([0.0, sign * horizon]).sum()),
         "build_transport_grid": (
             lambda: build_transport_grid(fresh, v0.base, horizon, segments + 1, cfg),
-            cfg.plan(grid, even=True).sum(),
+            2 * cfg.plan(grid, even=True).sum(),
         ),
-        # A lifted simulation takes a base pass and a fiber pass; a vertical one only the fiber pass.
         "simulate_lifted_ode": (lambda: simulate_lifted_ode(system, v0, u, cfg), 2 * simulated),
         "simulate_vertical_ode": (lambda: simulate_vertical_ode(vertical, v0, u, cfg), simulated),
     }
@@ -407,12 +408,14 @@ def test_pullback_vector_solves_a_stack_like_each_matrix():
 
 
 def test_chart_checks_per_rk4_step(monkeypatch, s2, s2_fields):
-    """Each RK4 stage of a moving base checks the chart once, and nothing else on these paths does.
+    """Each RK4 stage of a moving base tests the chart once, and nothing else on these paths does.
 
-    The lifted simulation integrates the base (50 steps, 200 checked
-    stages) and then the fiber (50 more steps, no checks).  A vertical
-    base does not move, so only its fiber is integrated and nothing is
-    checked beyond the initial point.
+    ``check`` is built on ``check_floats``, so counting the latter counts
+    both.  A flow and a transport pass integrate the base (50 or 56 steps,
+    one test per stage) and then the J pass; the lifted simulation
+    integrates the base and then the fiber.  Neither second pass is
+    tested.  A vertical base does not move, so only its fiber is
+    integrated and nothing is tested beyond the initial point.
     """
     X0, X1, X2 = s2_fields
     lifted = LiftedSystem(s2, X0, (X1, X2))
@@ -421,17 +424,17 @@ def test_chart_checks_per_rk4_step(monkeypatch, s2, s2_fields):
     v0 = s2.tangent_point([0.8, 0.3], [0.2, -0.1])
     u = ControlSignal.constant([0.4, -0.6], horizon=0.05)
     counts = {"check": 0, "step": 0}
-    check, rk4_step = ChartManifold.check, flows._rk4_step
+    check_floats, rk4_step = ChartManifold.check_floats, flows._rk4_step
 
-    def counted_check(self, coords):
+    def counted_check(self, *args):
         counts["check"] += 1
-        return check(self, coords)
+        return check_floats(self, *args)
 
     def counted_step(*args):
         counts["step"] += 1
         return rk4_step(*args)
 
-    monkeypatch.setattr(ChartManifold, "check", counted_check)
+    monkeypatch.setattr(ChartManifold, "check_floats", counted_check)
     monkeypatch.setattr(flows, "_rk4_step", counted_step)
     runs = {
         "flow": lambda: flow(X0, x0, 0.05),
@@ -446,10 +449,10 @@ def test_chart_checks_per_rk4_step(monkeypatch, s2, s2_fields):
         run()
         measured[name] = (counts["check"], counts["step"])
     assert measured == {
-        "flow": (200, 50),
+        "flow": (200, 100),
         "simulate_lifted_ode": (200, 100),
         "simulate_vertical_ode": (0, 50),
-        "build_transport_grid": (224, 56),
+        "build_transport_grid": (224, 112),
     }
 
 

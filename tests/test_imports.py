@@ -7,7 +7,8 @@ a string annotation.  An import statement whose first line carries
 that a tracer can wrap it there.  ``__init__.py`` re-exports by design, so
 its ``__all__`` must list exactly the public names it binds.  A private
 (``_``-prefixed, not dunder) function or method must be referenced, by
-name or attribute, somewhere in the package outside its own body.
+name or attribute, somewhere in the package outside its own body and
+outside other private functions that are themselves unreferenced.
 """
 
 import ast
@@ -64,18 +65,33 @@ def _references(tree) -> Counter:
 
 
 def unreferenced_private_functions(sources: dict) -> list:
-    """"module:name" of each private function or method only its own body references."""
+    """"module:name" of each private function or method that only dead code references.
+
+    Dead code is the function's own body and the bodies of the private
+    functions already found, so a helper whose only caller is itself
+    unreferenced is found too.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = sum((_references(tree) for tree in trees.values()), Counter())
-    return sorted(
-        f"{module}:{node.name}"
+    private = [
+        (module, node)
         for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and references[node.name] == _references(node)[node.name]
-    )
+    ]
+    dead = []
+    while True:
+
+        def only_dead_code_references(node):
+            bodies = [other for _, other in dead if other is not node] + [node]
+            return references[node.name] == sum(_references(body)[node.name] for body in bodies)
+
+        found = [(module, node) for module, node in private if only_dead_code_references(node)]
+        if len(found) == len(dead):
+            return sorted(f"{module}:{node.name}" for module, node in dead)
+        dead = found
 
 
 def test_private_function_checker_sees_calls_methods_and_self_reference():
@@ -94,6 +110,12 @@ def test_private_function_checker_sees_calls_methods_and_self_reference():
         ),
     }
     assert unreferenced_private_functions(sources) == ["a.py:_recursive", "b.py:_dead"]
+
+
+def test_private_function_checker_follows_dead_callers():
+    chain = "def _leaf():\n    pass\ndef _caller():\n    return _leaf()\n"
+    assert unreferenced_private_functions({"a.py": chain}) == ["a.py:_caller", "a.py:_leaf"]
+    assert unreferenced_private_functions({"a.py": chain, "b.py": "from a import _caller\n_caller()\n"}) == []
 
 
 def test_package_has_no_unreferenced_private_functions():

@@ -534,7 +534,10 @@ def test_steer_unreachable_direction(s2):
 
 @pytest.fixture
 def count_passes(monkeypatch):
-    """The number of ``integrate_fixed`` calls so far: one per segment of each RK4 pass."""
+    """The number of ``integrate_fixed`` calls so far: one per segment of each RK4 pass.
+
+    A transport pass is two RK4 passes, the drift record and its J pass.
+    """
     calls = []
     integrate = flows.integrate_fixed
 
@@ -550,10 +553,10 @@ def test_grid_then_steering_runs_one_transport_pass(r2, shear_system, count_pass
     v0 = r2.tangent_point([1.0, 0.0], [0.0, 1.0])
     grid = build_transport_grid(shear_system, v0.base, 0.3, 8)
     target = r2.tangent_point(grid.final_coords, [0.2, 0.5])
-    assert count_passes() == 8
+    assert count_passes() == 16
     steer = steer_lifted(shear_system, v0, target, 0.3, N=8)
     endpoint_closed_form(shear_system, v0, steer)
-    assert count_passes() == 8
+    assert count_passes() == 16
     assert build_transport_grid(shear_system, r2.point([1.0, 0.0]), 0.3, 8) is grid
 
 
@@ -622,7 +625,7 @@ def test_transport_pass_misses_on_any_changed_input(r2, shear_fields, count_pass
         before = count_passes()
         call()
         passes[name] = count_passes() - before
-    assert passes == {name: 0 if name == "same inputs" else (6 if name == "grid segments" else 4) for name in changed}
+    assert passes == {name: 0 if name == "same inputs" else 2 * (6 if name == "grid segments" else 4) for name in changed}
 
 
 def test_transport_grid_arrays_are_read_only(r2, shear_system):

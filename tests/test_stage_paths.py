@@ -1,7 +1,7 @@
 """The per-stage fast paths of RK4: the chart check on Python floats and power-free kernels on floats.
 
 Each path must give what the general path gives, bit for bit, and every
-stage must still go through ``ChartManifold.check`` once.
+stage must still go through ``ChartManifold.check_floats`` once.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from tanlift import (
     flow,
 )
 from tanlift import flows
-from tanlift.flows import DEFAULT_CONFIG, joint_flow
+from tanlift.flows import DEFAULT_CONFIG, flow_segments
 
 CHARTS = {
     "R2": builtin_manifold("R2"),
@@ -85,6 +85,23 @@ def test_check_accepts_and_rejects_as_in_domain_with_the_same_message(drawn):
         assert out is coords
     assert np.array_equal(out, arr, equal_nan=True)
     assert np.array_equal(np.signbit(out), np.signbit(arr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coordinates())
+def test_check_floats_is_the_domain_test_of_check(drawn):
+    """On a stage point's Python floats, ``check_floats`` accepts and rejects as ``check`` does."""
+    chart, coords = drawn
+    values = np.asarray(coords, dtype=float).reshape(-1).tolist()
+    status, out = _outcome(lambda: chart.check(values))
+    if status == "accepted":
+        assert chart.check_floats(values) is None
+    else:
+        with pytest.raises(ChartDomainError) as caught:
+            chart.check_floats(values)
+        assert str(caught.value) == status
+        assert np.array_equal(caught.value.coords, out, equal_nan=True)
+        assert np.array_equal(np.signbit(caught.value.coords), np.signbit(out))
 
 
 # Terms whose kernels have no power: a product names two distinct
@@ -158,29 +175,30 @@ def test_a_jacobian_power_of_a_power_free_column_keeps_numpy_scalars(r2):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of ``ChartManifold.check`` calls and RK4 steps."""
+    """Counts of ``ChartManifold.check_floats`` calls and RK4 steps."""
     counts = {"check": 0, "step": 0}
-    check, rk4_step = ChartManifold.check, flows._rk4_step
+    check_floats, rk4_step = ChartManifold.check_floats, flows._rk4_step
 
-    def counted_check(self, coords):
+    def counted_check(self, *args):
         counts["check"] += 1
-        return check(self, coords)
+        return check_floats(self, *args)
 
     def counted_step(*args):
         counts["step"] += 1
         return rk4_step(*args)
 
-    monkeypatch.setattr(ChartManifold, "check", counted_check)
+    monkeypatch.setattr(ChartManifold, "check_floats", counted_check)
     monkeypatch.setattr(flows, "_rk4_step", counted_step)
     return counts
 
 
 @pytest.mark.parametrize("name", ["R2", "S2-spherical"])
 def test_every_rk4_stage_of_a_moving_base_calls_check_once(counted, name):
-    """One ``check`` call per RK4 stage, over segments of unequal step counts.
+    """One ``check_floats`` call per RK4 stage of the base, over segments of unequal step counts.
 
-    The tracer's ``manifold.domain_checks`` counts these calls, so a stage
-    that tested the box inline would hide from it.
+    A stage that tested the box inline would hide from a counter of these
+    calls.  A flow takes the base pass and then its J pass, whose stages
+    are not tested; ``base_pass`` takes the base pass only.
     """
     chart = builtin_manifold(name)
     Y = field_from_expressions(chart, ["0.3 + 0.2*sin(x2)", "0.4*cos(x1)*x2"], "Y")
@@ -189,11 +207,11 @@ def test_every_rk4_stage_of_a_moving_base_calls_check_once(counted, name):
     system = LiftedSystem(chart, Y, (X,))
     u = ControlSignal(horizon=0.05, values=[[0.4], [-0.6]])
     steps = DEFAULT_CONFIG.steps_for
-    for run, boundaries in (
-        (lambda b: joint_flow(Y, x0, b, DEFAULT_CONFIG.plan(b)), [0.0, 0.013, 0.05]),
-        (lambda b: system.base_pass(x0, b, DEFAULT_CONFIG.plan(b), u), [0.0, 0.025, 0.05]),
+    for run, boundaries, passes in (
+        (lambda b: flow_segments(Y, x0, b, DEFAULT_CONFIG.plan(b)), [0.0, 0.013, 0.05], 2),
+        (lambda b: system.base_pass(x0, b, DEFAULT_CONFIG.plan(b), u), [0.0, 0.025, 0.05], 1),
     ):
         n_steps = steps(boundaries[1] - boundaries[0]) + steps(boundaries[2] - boundaries[1])
         counted.update(check=0, step=0)
         run(np.array(boundaries))
-        assert counted == {"check": 4 * n_steps, "step": n_steps}
+        assert counted == {"check": 4 * n_steps, "step": passes * n_steps}
