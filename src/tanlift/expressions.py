@@ -189,13 +189,18 @@ def _power(base, exponent, pos: int):
 
 
 def _in_float_range(node, pos: int):
-    """``node``, unless it is a constant that is undefined or beyond the float range.
+    """``node``, unless it is a constant that is undefined, beyond the float range or not real.
 
     Sympy evaluates functions of constants, and ``sin`` of a constant as
-    large as ``exp(exp(31.6))`` would not finish.
+    large as ``exp(exp(31.6))`` would not finish.  A constant such as
+    ``pow(-2, 0.5)`` is complex, and compiled code cannot make it a float.
     """
-    if _beyond_float_range(node):
-        raise ExpressionError(_OUT_OF_RANGE, pos)
+    if node.is_number:
+        value = complex(node.evalf(5))
+        if not abs(value) <= sys.float_info.max:
+            raise ExpressionError(_OUT_OF_RANGE, pos)
+        if value.imag:
+            raise ExpressionError("result is not a real number", pos)
     return node
 
 
@@ -205,14 +210,21 @@ def _beyond_float_range(node) -> bool:
 
 
 def _check_constants(entries, label: str) -> None:
-    """Raise NumericalError if an integer or fraction in ``entries`` is beyond the float range.
+    """Raise NumericalError if ``entries`` hold a constant that is not real or a fraction beyond the float range.
 
-    The parser rejects such a constant, but sympy can form one when it
-    differentiates: the Jacobian of N*x1*sin(N*x1) has N**2.  Compiled
-    code cannot turn it into a float and would raise OverflowError.  A
-    float constant that large prints as inf, which the evaluation names.
+    The parser rejects such constants, but sympy can form them as it
+    simplifies or differentiates.  It writes pow(-exp(x1), 1/3) as
+    (-1)**(1/3)*exp(x1/3), and the log(-2) in the Jacobian of pow(-2, x2)
+    as log(2) + I*pi; compiled code would return complex values.  The
+    Jacobian of N*x1*sin(N*x1) has N**2, which compiled code cannot turn
+    into a float: it would raise OverflowError.  A float constant that
+    large prints as inf, which the evaluation names.
     """
-    for atom in set().union(*(entry.atoms(sp.Rational) for entry in entries)):
+    atoms = set().union(*(entry.atoms(sp.Rational, sp.Pow, type(sp.I)) for entry in entries))
+    powers = [atom for atom in atoms if atom.is_Pow]
+    if sp.I in atoms or any(p.is_number and p.is_extended_real is False for p in powers):
+        raise NumericalError(f"{label} has a constant that is not real")
+    for atom in atoms.difference(powers):
         # |p/q| can pass the float maximum only when p has 1023 more bits than q.
         if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and _beyond_float_range(atom):
             raise NumericalError(f"{label} has a constant beyond the float range")
@@ -284,12 +296,19 @@ def _printer() -> NumPyPrinter:
 
 
 def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
-    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, with no docstring render.
+    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, as a caller of one sequence.
 
-    Entries that ``_check_constants`` rejects are a NumericalError naming
-    ``label``, as is a function the printer leaves under its sympy name,
-    which the code cannot resolve: the ``DiracDelta`` of ``Abs``'s second
-    derivative.
+    The one gate of every compiled product.  It checks constants and
+    names: an entry with a constant beyond the float range or not real
+    (``_check_constants``), or with a function the printer leaves under its
+    sympy name, such as the ``DiracDelta`` of ``Abs``'s second derivative,
+    is a NumericalError naming ``label``.  The caller it returns picks the
+    scalars the code runs on.  With no power in any entry it passes the
+    values as given, and Python floats are cheaper and round alike;
+    otherwise numpy scalars, since on floats ``1/x`` raises
+    ZeroDivisionError, a large ``x**2`` OverflowError, and ``(-1.0)**0.5``
+    is complex.  A kernel's entries hold its Jacobian: x1*sin(x1*x2) has
+    x1**2 there.  No docstring is rendered.
     """
     _check_constants(exprs, label)
     func = sp.lambdify(
@@ -298,7 +317,9 @@ def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
     unknown = sorted(set(func.__code__.co_names) - func.__globals__.keys() - func.__builtins__.keys())
     if unknown:
         raise NumericalError(f"{label} has {', '.join(unknown)}, which numpy cannot evaluate")
-    return func
+    if _power_free(exprs):
+        return lambda values: func(*values)
+    return lambda values: func(*np.array(values, dtype=float))
 
 
 def _derivative(expr, x):
@@ -351,30 +372,21 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     cached function, to every bracket that takes the field as an operand;
     each entry is ``_derivative``, the tree ``column.jacobian(args)`` has.
     Only a field without powers is ``vectorized``: numpy rounds ``x**k``
-    on arrays differently from ``x**k`` on one number.  By the same test
-    on all its entries, a kernel without powers is called on Python floats,
-    which is cheaper and rounds alike.  One with powers keeps numpy
-    scalars: on floats ``1/x`` raises ZeroDivisionError, a large ``x**2``
-    OverflowError, and ``(-1.0)**0.5`` is complex.  The test covers the
-    Jacobian too, because x1*sin(x1*x2) has x1**2 in its Jacobian.
+    on arrays differently from ``x**k`` on one number.
     """
     n = manifold.dim
-    printer, f_kernel, on_floats = _printer(), None, False
+    printer, f_kernel = _printer(), None
     jacobian = functools.cache(
         lambda: column._new(len(column), len(args), lambda j, i: _derivative(column[j], args[i]))
     )
-    f_vec = _compile(printer, args, list(column), f"field {name!r}")
-
-    def func(x):
-        return f_vec(*x)
+    func = _compile(printer, args, list(column), f"field {name!r}")
 
     def kernel(x):
-        nonlocal printer, f_kernel, on_floats
+        nonlocal printer, f_kernel
         if f_kernel is None:
             entries = list(column) + list(jacobian())
-            f_kernel = _compile(printer, args, entries, f"Jacobian of field {name!r}")
-            printer, on_floats = None, _power_free(entries)
-        return f_kernel(*(x if on_floats else np.array(x, dtype=float)))
+            f_kernel, printer = _compile(printer, args, entries, f"Jacobian of field {name!r}"), None
+        return f_kernel(x)
 
     def jac(x):
         return np.array(kernel(x.tolist())[n:], dtype=float).reshape(n, n)
@@ -412,7 +424,7 @@ def fiber_dynamics_from_expressions(
     f_vec = _compile(_printer(), args, parsed, "fiber dynamics")
 
     def dynamics(x, y, u):
-        u = np.zeros(control_dim) if u is None else np.asarray(u, dtype=float)
-        return np.array(f_vec(*x, *y, *u), dtype=float)
+        u = np.zeros(control_dim) if u is None else u
+        return np.array(f_vec(np.concatenate([x, y, u]).tolist()), dtype=float)
 
     return dynamics

@@ -115,9 +115,7 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
     def func(x):
         x = x.tolist()
-        x_value, x_jac = X.value_and_jacobian(x)
-        y_value, y_jac = Y.value_and_jacobian(x)
-        return y_jac @ x_value - x_jac @ y_value
+        return _bracket(X.value_and_jacobian(x), Y.value_and_jacobian(x))
 
     return VectorField(manifold=X.manifold, func=func, jac=None, name=name)
 
@@ -160,7 +158,7 @@ def _value_and_stencil(F: LiftedVectorField, w: np.ndarray) -> tuple:
 
 
 def _bracket(a: tuple, b: tuple) -> np.ndarray:
-    """Numeric bracket [A, B] = DB a - DA b from the (value, stencil) pairs of A and B."""
+    """Numeric bracket [A, B] = DB a - DA b from the (value, Jacobian or stencil) pairs of A and B."""
     (a_value, a_stencil), (b_value, b_stencil) = a, b
     return b_stencil @ a_value - a_stencil @ b_value
 

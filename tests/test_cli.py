@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 import tanlift.lifted
 from tanlift import NumericalError, ScenarioError, load_scenario
 from tanlift.cli import _COMMANDS, main
 from tanlift.reportio import dumps
+
+from test_expressions import _grammar
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -35,6 +39,14 @@ def test_scenario_parsing_shear():
     assert scenario.lifted is not None
     assert scenario.lifted.horizon == 1.0
     assert scenario.lifted.grid == 64
+
+
+def test_a_scenario_loads_from_a_dict_as_from_its_file():
+    path = SCENARIOS / "r2_shear.json"
+    from_dict = load_scenario(json.loads(path.read_text()))
+    from_file = load_scenario(str(path))
+    assert (from_dict.name, sorted(from_dict.fields)) == (from_file.name, sorted(from_file.fields))
+    assert from_dict.lifted.horizon == from_file.lifted.horizon == 1.0
 
 
 def test_scenario_rejects_unknown_schema(tmp_path):
@@ -114,6 +126,7 @@ def test_scenario_rejects_controls_given_as_one_string(capsys, tmp_path):
         (("lifted_system", "initial", "fiber"), [True, "2"]),
         (("lifted_system", "control_values"), [["1"]]),
         (("lifted_system", "control_values"), [[True]]),
+        (("lifted_system", "bump", "epsilon_fractions"), 0.5),
     ],
 )
 def test_scenario_numbers_out_of_range_are_input_errors(capsys, tmp_path, path, value):
@@ -206,6 +219,32 @@ def test_an_unreadable_scenario_path_is_an_input_error(capsys, tmp_path, kind):
     assert "Traceback" not in captured.err
 
 
+_NO_SYSTEM = {"schema": "tanlift-scenario-v1", "manifold": "R2", "fields": {"Y": ["0", "x1"]}}
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "simulate",
+            "{not json",
+            "scenario is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        ("brackets", "[1, 2]", "scenario document must be a JSON object"),
+        ("simulate", json.dumps(_NO_SYSTEM), "simulate needs a vertical_system or lifted_system block"),
+        ("controllability", json.dumps(_NO_SYSTEM), "controllability needs a vertical_system or lifted_system block"),
+        ("reachable", json.dumps(_NO_SYSTEM), "reachable needs a vertical_system or lifted_system block"),
+    ],
+    ids=["not-json", "not-an-object", "simulate", "controllability", "reachable"],
+)
+def test_a_scenario_a_command_cannot_read_or_run_is_an_input_error(capsys, tmp_path, command, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = main([command, "--scenario", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_a_scenario_nested_past_the_recursion_limit_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -283,6 +322,12 @@ def test_lift_check_stops_at_a_non_finite_lift(capsys, tmp_path):
         ("r2_shear", ("name",), math.nan, "name must be a string"),
         ("r2_shear", ("fields", "X1"), ["(" * 400 + "1" + ")" * 400, "0"], "field 'X1': expression nests deeper"),
         ("r2_shear", ("fields", "Y"), ["0", "-" * 1500 + "x1"], "field 'Y': expression nests deeper"),
+        (
+            "s2_damping",
+            ("vertical_system", "fiber_dynamics"),
+            ["-1*y1", "y2*pow(-1, 0.5)"],
+            "vertical_system.fiber_dynamics: result is not a real number (at position 3)",
+        ),
     ],
 )
 def test_malformed_scenario_input_names_its_key(capsys, tmp_path, scenario, path, value, message):
@@ -337,6 +382,17 @@ def test_simulate_damping(capsys):
     assert vertical["base_constant"] is True
     ratio = vertical["ode"]["fiber"][0] / 1.0
     assert abs(ratio - math.exp(-1.0)) <= 1e-8
+
+
+def test_simulate_of_an_affine_vertical_block_without_controls_runs_its_drift_alone(capsys, tmp_path):
+    doc = json.loads((SCENARIOS / "s2_vertical.json").read_text())
+    del doc["vertical_system"]["control_values"]
+    code, report, _ = run_cli(capsys, "simulate", "--scenario", write_scenario(tmp_path, doc))
+    vertical = report["payload"]["vertical"]
+    assert code == 0
+    # The drift X0 = (cos(x2), sin(x1)) at x0 = (0.8, 0.3), for the horizon 1.0.
+    assert vertical["closed_form"] == {"base": [0.8, 0.3], "fiber": [0.2 + np.cos(0.3), -0.1 + np.sin(0.8)]}
+    assert vertical["discrepancy"] < 1e-12
 
 
 def test_simulate_vertical_discrepancy(capsys):
@@ -461,6 +517,76 @@ def test_a_drift_whose_bracket_jacobian_holds_a_dirac_delta(capsys, tmp_path, y2
         assert captured.err == "numerical failure: Jacobian of field '[X1,Y]' has DiracDelta, which numpy cannot evaluate\n"
     else:
         assert code == 0
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize(
+    "y2, code, message",
+    [
+        ("x1 + pow(-2, 0.5)", 2, "error: field 'Y': result is not a real number (at position 5)\n"),
+        ("x1 + pow(-2, x2)", 3, "numerical failure: Jacobian of field 'Y' has a constant that is not real\n"),
+    ],
+    ids=["constant", "log-of-a-negative"],
+)
+def test_a_non_real_constant_ends_in_a_one_line_message(capsys, tmp_path, y2, code, message, command):
+    # sympy writes pow(-2, 0.5) as 1.4142*I, and the log(-2) in the Jacobian
+    # of pow(-2, x2) as log(2) + I*pi; neither is a float.
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    doc["fields"]["Y"] = ["0", y2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if command == "brackets" and code == 3:
+        # The brackets of Y with X1 and with itself hold no I, and brackets
+        # never evaluates Y itself.
+        assert result == 0
+    else:
+        assert (result, captured.out, captured.err) == (code, "", message)
+
+
+def _grammar_scenario(chart: str, drift: list, control: list) -> dict:
+    """A short lifted system on ``chart``: every command runs it in well under a second."""
+    return {
+        "schema": "tanlift-scenario-v1",
+        "manifold": chart,
+        "fields": {"Y": drift, "X1": control},
+        "lifted_system": {
+            "drift": "Y",
+            "controls": ["X1"],
+            "initial": {"base": [0.8, 0.3], "fiber": [0.2, -0.1]},
+            "horizon": 0.05,
+            "control_values": [[1.0]],
+            "grid": 8,
+            "k_max": 1,
+        },
+        "lift_check": {"samples": 2},
+    }
+
+
+_COEFFICIENTS = st.lists(_grammar(["x1", "x2"], depth=3), min_size=2, max_size=2)
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(chart=st.sampled_from(["R2", "S2-spherical"]), drift=_COEFFICIENTS, control=_COEFFICIENTS)
+def test_every_command_on_drawn_fields_exits_with_a_code_and_at_most_one_line(capsys, tmp_path, chart, drift, control):
+    path = write_scenario(tmp_path, _grammar_scenario(chart, drift, control))
+    for command in sorted(_COMMANDS):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--scenario", path])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [], command
+        assert code in (0, 1, 2, 3), command
+        if code:
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), (command, captured.err)
 
 
 def test_brackets_without_a_system_block_use_the_middle_of_the_sample_box(capsys, tmp_path):
@@ -706,6 +832,22 @@ def test_bad_flag_is_input_error(capsys, flag, value):
     assert code == 2
     assert captured.out == ""
     assert f"argument {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value, requirement",
+    [
+        ("--step", "abc", "a finite number > 0"),
+        ("--max-steps", "1.5", "an integer >= 1"),
+        ("--grid", "eight", "an integer >= 2"),
+        ("--rank-tol", "tiny", "a number in (0, 1)"),
+    ],
+)
+def test_a_non_numeric_flag_is_an_input_error(capsys, flag, value, requirement):
+    code = main(["simulate", "--scenario", str(SCENARIOS / "r2_shear.json"), flag, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"tanlift: error: argument {flag}: must be {requirement}, got {value!r}"
 
 
 def test_missing_scenario_file(capsys):

@@ -65,6 +65,26 @@ def test_parse_error_positions():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("(x1 + 2", "expected ')' (at position 7)"),
+        ("pow(x1, 2", "expected ')' (at position 9)"),
+        ("x1 2", "unexpected '2' (at position 2)"),
+        ("x1)", "unexpected ')' (at position 2)"),
+    ],
+)
+def test_an_unclosed_parenthesis_or_a_trailing_token_is_a_parse_error(src, message):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(src, chart_symbols(2))
+    assert str(err.value) == message
+
+
+def test_unary_plus_leaves_its_operand_as_it_is():
+    assert parse_expression("+x1", chart_symbols(2)) == chart_symbols(2)["x1"]
+    assert _value("-+x1 * +3", x1=2.0) == -6.0
+
+
 def _reciprocal_chain(calls):
     """``1/sin(x2 + x1/sin(...))`` with ``calls`` nested calls, about four tree levels each."""
     return "1/sin(x2 + x1/" * (calls - 1) + "sin(x2)" + ")" * (calls - 1)
@@ -105,14 +125,33 @@ def test_nesting_past_the_limit_is_a_parse_error(src, pos):
         ("x1 + exp(1000.0)", 5),
         ("1e300*1e300", 5),
         ("1.7e308 + 1.7e308", 8),
-        # 0 to a power whose real part sympy cannot sign: undefined.
-        ("exp(pow(0, pow(-2, exp(1))))", 4),
     ],
 )
 def test_number_out_of_float_range_is_a_parse_error(src, pos):
     with pytest.raises(ExpressionError) as err:
         parse_expression(src, chart_symbols(2))
     assert str(err.value) == f"result is undefined or out of the float range (at position {pos})"
+
+
+@pytest.mark.parametrize(
+    "src, pos",
+    [
+        ("x1 + pow(-2, 0.5)", 5),
+        ("pow(-8, 1/3)*x2", 0),
+        ("x2*sin(pow(-1, 0.25) + 1)", 7),
+        # The complex exponent is rejected before 0 is raised to it.
+        ("exp(pow(0, pow(-2, exp(1))))", 11),
+    ],
+)
+def test_non_real_constant_is_a_parse_error(src, pos):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(src, chart_symbols(2))
+    assert str(err.value) == f"result is not a real number (at position {pos})"
+
+
+@pytest.mark.parametrize("src", ["pow(-2, 2)", "pow(-8, 3.0)", "pow(-2, -1)*x1", "pow(pow(-2, 2), 0.5)"])
+def test_a_real_power_of_a_negative_constant_parses(src):
+    assert parse_expression(src, chart_symbols(2)).is_real
 
 
 def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numerical_error(r2):
@@ -126,6 +165,34 @@ def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numeri
     # J_Y X - J_X Y, whose first entry has N**2 too.
     with pytest.raises(NumericalError, match=r"^field '\[X,Y\]' has a constant beyond the float range$"):
         base_lie_bracket(X, Y)
+
+
+def test_a_non_real_constant_sympy_forms_is_a_numerical_error(r2):
+    # sympy writes pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and
+    # pow(-exp(y1), 0.5) as 1.0*I*exp(0.5*y1).
+    with pytest.raises(NumericalError, match=r"^field 'Z' has a constant that is not real$"):
+        field_from_expressions(r2, ["x2", "pow(-exp(x1), 1/3)"], "Z")
+    with pytest.raises(NumericalError, match=r"^fiber dynamics has a constant that is not real$"):
+        fiber_dynamics_from_expressions(r2, ["pow(-exp(y1), 0.5)", "y2"], control_dim=0)
+    # d/dx2 of pow(-2, x2) has log(-2), which sympy writes as log(2) + I*pi.
+    Y = field_from_expressions(r2, ["0", "x1 + pow(-2, x2)"], "Y")
+    X = field_from_expressions(r2, ["0", "1"], "X")
+    with pytest.raises(NumericalError, match=r"^Jacobian of field 'Y' has a constant that is not real$"):
+        Y.jacobian_at([1.0, 0.5])
+    # J_Y X - J_X Y is the second column of J_Y.
+    with pytest.raises(NumericalError, match=r"^field '\[X,Y\]' has a constant that is not real$"):
+        base_lie_bracket(X, Y)
+
+
+def test_the_compiled_caller_runs_power_free_entries_on_the_values_given_and_powers_on_numpy_scalars():
+    x1, x2 = chart_symbols(2).values()
+    power_free = expressions._compile(expressions._printer(), [x1, x2], [x1 * x2 - 1], "f")
+    powered = expressions._compile(expressions._printer(), [x1, x2], [x1 / x2], "g")
+    assert [type(v) for v in power_free([2.0, 3.0])] == [float]
+    assert [type(v) for v in powered([2.0, 3.0])] == [np.float64]
+    # On Python floats 1/0.0 raises ZeroDivisionError; on numpy scalars it is inf.
+    with np.errstate(divide="ignore"):
+        assert powered([1.0, 0.0]) == [np.inf]
 
 
 def test_exact_power_within_float_range_is_exact():
@@ -252,7 +319,9 @@ def _grammar(variables, depth=8):
 def _parsed(build):
     try:
         return build()
-    except ExpressionError:  # a drawn division by zero or out-of-range constant
+    # A drawn division by zero, or a constant out of the float range or not
+    # real: sympy writes pow(-exp(x1), -0.4) with (-1)**(-0.4), which is complex.
+    except (ExpressionError, NumericalError):
         reject()
 
 
@@ -265,7 +334,8 @@ def test_drawn_field_and_kernel_compile_to_plain_lambdify_source(exprs):
     r2 = builtin_manifold("R2")
 
     def build():
-        _compile_kernels([_parsed(lambda: field_from_expressions(r2, exprs, "X"))])
+        X = _parsed(lambda: field_from_expressions(r2, exprs, "X"))
+        _parsed(lambda: _compile_kernels([X]))
 
     assert _compiles_as_plain_lambdify(build) == 2
 

@@ -18,10 +18,12 @@ from tanlift import (
     NumericalError,
     base_lie_bracket,
     builtin_manifold,
+    fiber_dynamics_from_expressions,
     field_from_expressions,
     flow,
 )
 from tanlift import flows
+from tanlift.expressions import chart_symbols, parse_expression
 from tanlift.flows import DEFAULT_CONFIG, flow_segments
 
 CHARTS = {
@@ -160,6 +162,61 @@ def test_power_free_kernels_give_the_same_bits_on_floats_as_on_numpy_scalars(exp
                 assert np.array_equal(
                     np.array(X.kernel(x), dtype=float), np.array(reference(*x), dtype=float), equal_nan=True
                 )
+
+
+# Fiber dynamics terms over x, y and u without a power, as above.
+_DYNAMICS_TERMS = st.sampled_from(
+    [
+        "{c}*y{a}",
+        "{c}*x{a}*y{b}",
+        "sin(x{a})*y{b}",
+        "{c}*u1*cos(x{b})",
+        "exp({c}*y{a})",
+        "{c}*y{a}*y{b} - u1",
+        "cos(y{a} + {c})*x{b}",
+    ]
+)
+# Each makes the dynamics powered: on Python floats a large y1**2 raises
+# OverflowError, y2/x1 at x1 = 0 ZeroDivisionError, and (-3.0)**-1.5 is complex.
+_POWERS = [None, "pow(y1, 2)", "y2/x1", "pow(x2, -1.5)"]
+_DYNAMICS_VALUES = st.sampled_from([0.0, -3.0, 1e200, -1e200]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _power_free_dynamics(draw):
+    def term():
+        a = draw(st.sampled_from([1, 2]))
+        pattern = draw(_DYNAMICS_TERMS)
+        return pattern.format(c=f"{draw(st.floats(-2.0, 2.0)):.4f}", a=a, b=3 - a)
+
+    return [" + ".join(term() for _ in range(draw(st.integers(1, 3)))) for _ in range(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exprs=_power_free_dynamics(),
+    power=st.sampled_from(_POWERS),
+    points=st.lists(st.lists(_DYNAMICS_VALUES, min_size=5, max_size=5), min_size=1, max_size=5),
+)
+def test_compiled_fiber_dynamics_give_the_same_bits_through_the_gate_as_on_numpy_scalars(exprs, power, points):
+    """Power-free dynamics run on Python floats, powered ones on numpy scalars, each as plain ``lambdify`` on numpy scalars.
+
+    A powered term joins the first entry; had it run on Python floats, a
+    point with y1 = 1e200 or x1 = 0 would raise instead of giving inf.
+    """
+    if power is not None:
+        exprs = [f"{exprs[0]} + {power}", exprs[1]]
+    r2 = builtin_manifold("R2")
+    dynamics = fiber_dynamics_from_expressions(r2, exprs, control_dim=1)
+    table = {**chart_symbols(2, "x"), **chart_symbols(2, "y"), **chart_symbols(1, "u")}
+    parsed = [parse_expression(src, table) for src in exprs]
+    assert any(expr.has(sympy.Pow) for expr in parsed) == (power is not None)
+    reference = sympy.lambdify(list(table.values()), parsed, modules="numpy")
+    for point in points:
+        x, y, u = np.array(point[:2]), np.array(point[2:4]), np.array(point[4:])
+        with np.errstate(all="ignore"):
+            expected = np.array(reference(*x, *y, *u), dtype=float)
+            assert np.array_equal(dynamics(x, y, u), expected, equal_nan=True)
 
 
 def test_a_jacobian_power_of_a_power_free_column_keeps_numpy_scalars(r2):
