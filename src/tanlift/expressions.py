@@ -28,6 +28,8 @@ _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow":
 # The smallest positive float (subnormal).
 _FLOAT_TINY = math.ldexp(1.0, -1074)
 _OUT_OF_RANGE = "result is undefined or out of the float range"
+# What ``_unfit_constant`` finds; the compile gate's messages end in them.
+_NOT_REAL, _TOO_LARGE = "that is not real", "beyond the float range"
 
 # What sympy reduces a division by zero or pow(0, negative) to.
 _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
@@ -189,18 +191,20 @@ def _power(base, exponent, pos: int):
 
 
 def _in_float_range(node, pos: int):
-    """``node``, unless it is a constant that is undefined, beyond the float range or not real.
+    """``node``, unless it is or holds a constant that is undefined, beyond the float range or not real.
 
     Sympy evaluates functions of constants, and ``sin`` of a constant as
     large as ``exp(exp(31.6))`` would not finish.  A constant such as
     ``pow(-2, 0.5)`` is complex, and compiled code cannot make it a float.
+    Any other node is held to the compile gate's rule, ``_unfit_constant``.
     """
     if node.is_number:
         value = complex(node.evalf(5))
-        if not abs(value) <= sys.float_info.max:
-            raise ExpressionError(_OUT_OF_RANGE, pos)
-        if value.imag:
-            raise ExpressionError("result is not a real number", pos)
+        unfit = _TOO_LARGE if not abs(value) <= sys.float_info.max else _NOT_REAL if value.imag else None
+    else:
+        unfit = _unfit_constant([node])
+    if unfit:
+        raise ExpressionError(_OUT_OF_RANGE if unfit == _TOO_LARGE else "result is not a real number", pos)
     return node
 
 
@@ -209,25 +213,26 @@ def _beyond_float_range(node) -> bool:
     return node.is_number and not _magnitude(node) <= sys.float_info.max
 
 
-def _check_constants(entries, label: str) -> None:
-    """Raise NumericalError if ``entries`` hold a constant that is not real or a fraction beyond the float range.
+def _unfit_constant(entries):
+    """``_NOT_REAL`` or ``_TOO_LARGE`` if ``entries`` hold a constant of that kind, else None.
 
-    The parser rejects such constants, but sympy can form them as it
-    simplifies or differentiates.  It writes pow(-exp(x1), 1/3) as
-    (-1)**(1/3)*exp(x1/3), and the log(-2) in the Jacobian of pow(-2, x2)
-    as log(2) + I*pi; compiled code would return complex values.  The
-    Jacobian of N*x1*sin(N*x1) has N**2, which compiled code cannot turn
-    into a float: it would raise OverflowError.  A float constant that
-    large prints as inf, which the evaluation names.
+    Sympy can form such a constant as it simplifies or differentiates.  It
+    writes pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and the log(-2) in
+    the Jacobian of pow(-2, x2) as log(2) + I*pi; compiled code would
+    return complex values.  The Jacobian of N*x1*sin(N*x1) has N**2, a
+    fraction compiled code cannot turn into a float: it would raise
+    OverflowError.  A float constant that large prints as inf, which the
+    evaluation names.
     """
     atoms = set().union(*(entry.atoms(sp.Rational, sp.Pow, type(sp.I)) for entry in entries))
     powers = [atom for atom in atoms if atom.is_Pow]
     if sp.I in atoms or any(p.is_number and p.is_extended_real is False for p in powers):
-        raise NumericalError(f"{label} has a constant that is not real")
+        return _NOT_REAL
     for atom in atoms.difference(powers):
         # |p/q| can pass the float maximum only when p has 1023 more bits than q.
         if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and _beyond_float_range(atom):
-            raise NumericalError(f"{label} has a constant beyond the float range")
+            return _TOO_LARGE
+    return None
 
 
 def _defined(node, pos: int):
@@ -261,7 +266,7 @@ def field_from_expressions(
         )
     table = chart_symbols(manifold.dim)
     args = [table[f"x{i + 1}"] for i in range(manifold.dim)]
-    column = sp.Matrix([parse_expression(src, table) for src in exprs])
+    column = tuple(parse_expression(src, table) for src in exprs)
     return field_from_symbolic(manifold, column, args, name)
 
 
@@ -300,7 +305,7 @@ def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
 
     The one gate of every compiled product.  It checks constants and
     names: an entry with a constant beyond the float range or not real
-    (``_check_constants``), or with a function the printer leaves under its
+    (``_unfit_constant``), or with a function the printer leaves under its
     sympy name, such as the ``DiracDelta`` of ``Abs``'s second derivative,
     is a NumericalError naming ``label``.  The caller it returns picks the
     scalars the code runs on.  With no power in any entry it passes the
@@ -310,7 +315,9 @@ def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
     is complex.  A kernel's entries hold its Jacobian: x1*sin(x1*x2) has
     x1**2 there.  No docstring is rendered.
     """
-    _check_constants(exprs, label)
+    unfit = _unfit_constant(exprs)
+    if unfit:
+        raise NumericalError(f"{label} has a constant {unfit}")
     func = sp.lambdify(
         args, exprs, modules="numpy", printer=printer, use_imps=False, docstring_limit=0
     )
@@ -356,13 +363,18 @@ def _derivative(expr, x):
     return expr.diff(x)
 
 
+def _dot(row, column):
+    """``row[0]*column[0] + ...`` as sympy's matrix product forms it: ``Add`` drops a product 0, keeps a nan 0*zoo."""
+    return sp.Add(*[a * b for a, b in zip(row, column)])
+
+
 def _power_free(exprs) -> bool:
     """No entry has a power, so numpy arrays, numpy scalars and Python floats evaluate it alike."""
     return not any(expr.has(sp.Pow) for expr in exprs)
 
 
-def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: str) -> VectorField:
-    """Wrap a sympy column matrix as a VectorField.
+def field_from_symbolic(manifold: ChartManifold, column: Sequence, args, name: str) -> VectorField:
+    """Wrap a tuple of sympy expressions, one per coordinate, as a VectorField.
 
     The coefficient vector compiles to one function here.  On the first
     ``jacobian_at`` the Jacobian is differentiated and compiled together
@@ -370,21 +382,19 @@ def field_from_symbolic(manifold: ChartManifold, column: sp.Matrix, args, name: 
     returns both; the printer the two compiles share is then dropped.  The
     symbolic Jacobian is formed at most once: ``sym`` carries it, as a
     cached function, to every bracket that takes the field as an operand;
-    each entry is ``_derivative``, the tree ``column.jacobian(args)`` has.
+    its rows are tuples of ``_derivative``, sympy's ``Matrix.jacobian`` trees.
     Only a field without powers is ``vectorized``: numpy rounds ``x**k``
     on arrays differently from ``x**k`` on one number.
     """
     n = manifold.dim
     printer, f_kernel = _printer(), None
-    jacobian = functools.cache(
-        lambda: column._new(len(column), len(args), lambda j, i: _derivative(column[j], args[i]))
-    )
+    jacobian = functools.cache(lambda: tuple(tuple(_derivative(entry, x) for x in args) for entry in column))
     func = _compile(printer, args, list(column), f"field {name!r}")
 
     def kernel(x):
         nonlocal printer, f_kernel
         if f_kernel is None:
-            entries = list(column) + list(jacobian())
+            entries = [*column, *(entry for row in jacobian() for entry in row)]
             f_kernel, printer = _compile(printer, args, entries, f"Jacobian of field {name!r}"), None
         return f_kernel(x)
 

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .expressions import _dot, field_from_symbolic
 from .manifold import (
     DEFAULT_DERIV_STEP,
     BasePoint,
@@ -106,11 +107,10 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         raise ValueError("bracket operands live on charts of different dimension")
     name = f"[{X.name},{Y.name}]"
     if X.sym is not None and Y.sym is not None:
-        from .expressions import field_from_symbolic
-
         col_x, args, jac_x = X.sym
         col_y, _, jac_y = Y.sym
-        column = jac_y() * col_x - jac_x() * col_y
+        # ``* -1`` flattens again as sympy's product negates: -(-x2**0.0) is 1 there, x2**0.0 by ``-``.
+        column = tuple(_dot(dy, col_x) + _dot(dx, col_y) * -1 for dy, dx in zip(jac_y(), jac_x()))
         return field_from_symbolic(X.manifold, column, args, name)
 
     def func(x):

@@ -546,6 +546,26 @@ def test_a_non_real_constant_ends_in_a_one_line_message(capsys, tmp_path, y2, co
         assert (result, captured.out, captured.err) == (code, "", message)
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize(
+    "y2, message",
+    [
+        ("pow(-exp(x1), 1/3)", "result is not a real number (at position 0)"),
+        ("x1*pow(10, 200)*pow(10, 200)", "result is undefined or out of the float range (at position 15)"),
+    ],
+    ids=["power-of-a-negative", "product-beyond-the-float-range"],
+)
+def test_a_constant_sympy_forms_while_parsing_is_an_input_error(capsys, tmp_path, y2, message, command):
+    # Neither coefficient is constant, but sympy writes the first with
+    # (-1)**(1/3) and forms 10**400 in the second; the parser names the
+    # operator that formed it, as the compile gate would name the field.
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    doc["fields"]["Y"] = ["0", y2]
+    code = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: field 'Y': {message}\n")
+
+
 def _grammar_scenario(chart: str, drift: list, control: list) -> dict:
     """A short lifted system on ``chart``: every command runs it in well under a second."""
     return {

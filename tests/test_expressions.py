@@ -125,6 +125,9 @@ def test_nesting_past_the_limit_is_a_parse_error(src, pos):
         ("x1 + exp(1000.0)", 5),
         ("1e300*1e300", 5),
         ("1.7e308 + 1.7e308", 8),
+        # Not constant, but it holds 10**400, which no float holds.
+        ("x1*pow(10, 200)*pow(10, 200)", 15),
+        ("x1/pow(2, -1074)", 2),
     ],
 )
 def test_number_out_of_float_range_is_a_parse_error(src, pos):
@@ -141,6 +144,9 @@ def test_number_out_of_float_range_is_a_parse_error(src, pos):
         ("x2*sin(pow(-1, 0.25) + 1)", 7),
         # The complex exponent is rejected before 0 is raised to it.
         ("exp(pow(0, pow(-2, exp(1))))", 11),
+        # Not constant, but sympy writes it with (-1)**(1/3).
+        ("pow(-exp(x1), 1/3)", 0),
+        ("x2 + sin(x1)*pow(-exp(x1), 1/3)", 13),
     ],
 )
 def test_non_real_constant_is_a_parse_error(src, pos):
@@ -152,6 +158,11 @@ def test_non_real_constant_is_a_parse_error(src, pos):
 @pytest.mark.parametrize("src", ["pow(-2, 2)", "pow(-8, 3.0)", "pow(-2, -1)*x1", "pow(pow(-2, 2), 0.5)"])
 def test_a_real_power_of_a_negative_constant_parses(src):
     assert parse_expression(src, chart_symbols(2)).is_real
+
+
+@pytest.mark.parametrize("src", ["pow(-x1, 1/3)", "pow(-2, x2)", "x1*pow(10, 200)*pow(10, -200)"])
+def test_a_power_that_is_not_constant_parses_with_its_constants_in_range(src):
+    assert not parse_expression(src, chart_symbols(2)).is_number
 
 
 def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numerical_error(r2):
@@ -167,12 +178,12 @@ def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numeri
         base_lie_bracket(X, Y)
 
 
-def test_a_non_real_constant_sympy_forms_is_a_numerical_error(r2):
+def test_a_non_real_constant_sympy_forms_is_a_parse_error_or_a_numerical_error(r2):
     # sympy writes pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and
-    # pow(-exp(y1), 0.5) as 1.0*I*exp(0.5*y1).
-    with pytest.raises(NumericalError, match=r"^field 'Z' has a constant that is not real$"):
+    # pow(-exp(y1), 0.5) as 1.0*I*exp(0.5*y1); the parser rejects both at the pow.
+    with pytest.raises(ExpressionError, match=r"^result is not a real number \(at position 0\)$"):
         field_from_expressions(r2, ["x2", "pow(-exp(x1), 1/3)"], "Z")
-    with pytest.raises(NumericalError, match=r"^fiber dynamics has a constant that is not real$"):
+    with pytest.raises(ExpressionError, match=r"^result is not a real number \(at position 0\)$"):
         fiber_dynamics_from_expressions(r2, ["pow(-exp(y1), 0.5)", "y2"], control_dim=0)
     # d/dx2 of pow(-2, x2) has log(-2), which sympy writes as log(2) + I*pi.
     Y = field_from_expressions(r2, ["0", "x1 + pow(-2, x2)"], "Y")
@@ -405,7 +416,37 @@ def test_a_field_and_its_bracket_carry_sympys_own_jacobian(case):
     # Mul._eval_derivative_n_times: the same derivative, a different tree.
     for F in _field_and_bracket(case):
         column, args, jacobian = F.sym
-        assert sympy.srepr(jacobian()) == sympy.srepr(column.jacobian(args))
+        assert sympy.srepr(sympy.Matrix(jacobian())) == sympy.srepr(sympy.Matrix(column).jacobian(args))
+
+
+def _sympys_bracket_column(X, Y):
+    """J_Y X - J_X Y by sympy's own matrix product, from the operands' payloads."""
+    col_x, _, jac_x = X.sym
+    col_y, _, jac_y = Y.sym
+    return sympy.Matrix(jac_y()) * sympy.Matrix(col_x) - sympy.Matrix(jac_x()) * sympy.Matrix(col_y)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True, phases=(Phase.explicit, Phase.generate))
+# Entries 0, 0.0 and 0.0*x1 + x2 decide which products a column keeps.
+@example((2, ["0", "x2", "2*x1", "x1*x2"]))
+@example((2, ["0.0", "x2", "2*x1", "0.0*x1 + x2"]))
+@example((2, ["0.0*x1 + x2", "0.0", "x1*x2", "0"]))
+# 0 times the nan in the Jacobian of pow(0, x1) is nan in sympy's product.
+@example((2, ["0", "x2", "pow(0, x1)", "x1"]))
+# -(-x2**0.0) is 1 in sympy's product, which negates by * -1.
+@example((2, ["x1", "1", "-pow(x2, 0.0)", "-1.0"]))
+@_with_examples
+@given(_chart_and_two_fields())
+def test_a_bracket_column_is_sympys_own_matrix_product(case):
+    # Depths 1-3: [X, Y], [X, [X, Y]] and [X, [X, [X, Y]]].
+    X, operand, B = _field_and_bracket(case)
+    for depth in (1, 2, 3):
+        assert sympy.srepr(sympy.Matrix(B.sym[0])) == sympy.srepr(_sympys_bracket_column(X, operand)), depth
+        if depth < 3:
+            try:
+                operand, B = B, base_lie_bracket(X, B)
+            except NumericalError:  # a constant beyond the float range or not real
+                return
 
 
 def _compiled_kernel(F):
@@ -439,7 +480,7 @@ def test_a_field_and_its_bracket_compile_sympys_own_jacobian(case):
             kernel = _compiled_kernel(F)
         except NumericalError:  # a constant beyond the float range in the Jacobian
             reject()
-        expected = sympy.lambdify(args, list(column) + list(column.jacobian(args)), modules="numpy")
+        expected = sympy.lambdify(args, list(column) + list(sympy.Matrix(column).jacobian(args)), modules="numpy")
         assert inspect.getsource(kernel) == inspect.getsource(expected)
 
 

@@ -9,6 +9,8 @@ its ``__all__`` must list exactly the public names it binds.  A private
 (``_``-prefixed, not dunder) function or method must be referenced, by
 name or attribute, somewhere in the package outside its own body and
 outside other private functions that are themselves unreferenced.
+Only ``expressions`` imports sympy, and no function body imports
+anything, so the module boundary is the import list at each module's top.
 """
 
 import ast
@@ -153,3 +155,35 @@ def test_all_lists_every_public_name_the_package_binds():
     }
     assert sorted(tanlift.__all__) == sorted(set(tanlift.__all__))
     assert set(tanlift.__all__) == bound
+
+
+
+def _imported_modules(tree) -> list:
+    """The module each import statement in ``tree`` names, relative ones with their leading dots."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    return modules
+
+
+def test_only_expressions_imports_sympy():
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(module.split(".")[0] == "sympy" for module in _imported_modules(ast.parse(path.read_text())))
+    ]
+    assert importers == ["expressions.py"]
+
+
+def test_no_function_body_imports():
+    found = [
+        f"{path.name}:{node.name} imports {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for module in _imported_modules(node)
+    ]
+    assert found == []

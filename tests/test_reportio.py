@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanlift import NumericalError
-from tanlift.reportio import format_float, trajectory_rows, write_csv
+from tanlift.reportio import dumps, format_float, trajectory_rows, write_csv
 
 EDGE_VALUES = {
     -0.0: "-0",
@@ -84,3 +84,18 @@ def test_csv_rows_have_the_bytes_of_a_per_value_format_float_join(rows):
     else:
         assert message is None
     assert stream.getvalue() == want
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"a": {1: 2.0}}, "JSON object keys must be strings, got 1"),
+        ([{0.5}], "cannot serialize set as JSON"),
+        ({"a": object()}, "cannot serialize object as JSON"),
+    ],
+    ids=["key", "set", "object"],
+)
+def test_dumps_names_a_key_or_a_value_json_cannot_hold(obj, message):
+    with pytest.raises(TypeError) as err:
+        dumps(obj)
+    assert str(err.value) == message

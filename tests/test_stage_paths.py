@@ -134,7 +134,7 @@ def _power_free_field(draw):
 
 def _kernel_has_powers(X) -> bool:
     column, _, jacobian = X.sym
-    return column.has(sympy.Pow) or jacobian().has(sympy.Pow)
+    return sympy.Matrix(column).has(sympy.Pow) or sympy.Matrix(jacobian()).has(sympy.Pow)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +155,7 @@ def test_power_free_kernels_give_the_same_bits_on_floats_as_on_numpy_scalars(exp
     fields.append(base_lie_bracket(*fields))
     for X in fields:
         column, args, jacobian = X.sym
-        reference = sympy.lambdify(args, list(column) + list(jacobian()), modules="numpy")
+        reference = sympy.lambdify(args, list(column) + list(sympy.Matrix(jacobian())), modules="numpy")
         for point in points:
             x = np.array(point)
             with np.errstate(all="ignore"):

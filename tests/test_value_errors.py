@@ -10,20 +10,33 @@ from tanlift import (
     ControlSignal,
     FunctionLift,
     IntegratorConfig,
+    LiftedSystem,
     LiftedVectorField,
+    VectorField,
+    VerticalAffineSystem,
+    ad_criterion,
+    apply_LT,
     base_lie_bracket,
+    build_transport_grid,
     builtin_manifold,
     field_from_expressions,
     is_vertical,
     lie_bracket,
+    solve_vertical_closed_form,
     span_basis,
+    transported_derivatives,
     vertical_lift,
 )
+from tanlift.battery import run_identity_battery
 from tanlift.controls import segment_boundaries
+from tanlift.manifold import central_differences
 
 R2 = builtin_manifold("R2")
 X = field_from_expressions(R2, ["x2", "sin(x1)"], "X")
 U = ControlSignal(horizon=1.0, values=[[1.0]])
+U2 = ControlSignal(horizon=1.0, values=[[1.0, 2.0]])
+LIFTED = LiftedSystem(R2, X, [X])
+ORIGIN = R2.point([0.0, 0.0])
 
 CASES = {
     "control-without-segments": (lambda: ControlSignal(1.0, np.zeros((0, 1))), "control needs at least one segment"),
@@ -57,6 +70,25 @@ CASES = {
     "function-lift-kind": (lambda: FunctionLift(R2, np.sum, kind="horizontal"), "unknown function lift kind 'horizontal'"),
     "integrator-budget": (lambda: IntegratorConfig(max_steps=0), "max_steps must be >= 1"),
     "integrator-step": (lambda: IntegratorConfig(step=-1.0), "step must be positive and finite, got -1.0"),
+    "battery-of-one-field": (lambda: run_identity_battery(R2, [X]), "identity battery needs at least 2 fields"),
+    "transport-channels": (
+        lambda: apply_LT(build_transport_grid(LIFTED, ORIGIN, 1.0, 2), U2),
+        "control has 2 channels, system expects 1",
+    ),
+    "bracket-depth-of-derivatives": (lambda: transported_derivatives(X, X, ORIGIN, -1), "k_max must be >= 0"),
+    "bracket-depth-of-criterion": (lambda: ad_criterion(LIFTED, ORIGIN, k_max=-1), "k_max must be >= 0"),
+    "chart-dimension": (lambda: ChartManifold(dim=0, name="R0"), "manifold dimension must be >= 1"),
+    "hand-built-jacobian": (
+        lambda: VectorField(R2, lambda x: x, jac=lambda x: np.eye(3), name="H").jacobian_at([0.0, 0.0]),
+        "jacobian of H has shape (3, 3)",
+    ),
+    "difference-step": (lambda: central_differences(np.sin, [0.0], h=0.0), "step size must be positive"),
+    "vertical-channels": (
+        lambda: solve_vertical_closed_form(
+            VerticalAffineSystem(R2, X, [X]), R2.tangent_point([0.0, 0.0], [1.0, 0.0]), U2, 0.5
+        ),
+        "control has 2 channels, system expects 1",
+    ),
 }
 
 
