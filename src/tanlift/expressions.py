@@ -123,7 +123,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = _in_float_range(node * rhs if text == "*" else _defined(node / rhs, pos), pos)
+                node = _in_float_range(node * rhs if text == "*" else _quotient(node, rhs, pos), pos)
             else:
                 return node
 
@@ -208,11 +208,6 @@ def _in_float_range(node, pos: int):
     return node
 
 
-def _beyond_float_range(node) -> bool:
-    """Is ``node`` a constant that is undefined or beyond the float range?"""
-    return node.is_number and not _magnitude(node) <= sys.float_info.max
-
-
 def _unfit_constant(entries):
     """``_NOT_REAL`` or ``_TOO_LARGE`` if ``entries`` hold a constant of that kind, else None.
 
@@ -230,9 +225,17 @@ def _unfit_constant(entries):
         return _NOT_REAL
     for atom in atoms.difference(powers):
         # |p/q| can pass the float maximum only when p has 1023 more bits than q.
-        if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and _beyond_float_range(atom):
+        if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and not _magnitude(atom) <= sys.float_info.max:
             return _TOO_LARGE
     return None
+
+
+def _quotient(node, rhs, pos: int):
+    """``node / rhs``, unless undefined; mpmath refuses a Float over a Float zero, so sympy's ``node * rhs**-1`` then."""
+    try:
+        return _defined(node / rhs, pos)
+    except ZeroDivisionError:
+        return _defined(node * rhs**-1, pos)
 
 
 def _defined(node, pos: int):

@@ -2,11 +2,12 @@
 
 Integration is fixed-step classical RK4 on lists of Python floats, which
 cost less than numpy at 2 to n² entries.  A drift pass is recorded once:
-each stage point is tested against the chart as floats and makes one
-evaluation of the drift's coefficients and Jacobian J_s.  A linear pass
-over the record gives the flow differential, J' = J_s J from J = I, or a
-lifted fiber, y' = J_s y + sum_i u_i X_i(x_s); its products stay BLAS on
-C-contiguous arrays, whose fused multiply-adds the values depend on.
+each stage point is tested against the chart as floats, and the floats of
+one evaluation of the drift's coefficients and Jacobian J_s go straight
+into the state and the record.  A linear pass over the record gives the
+flow differential, J' = J_s J from J = I, or a lifted fiber, y' = J_s y +
+sum_i u_i X_i(x_s); its products stay BLAS on C-contiguous arrays, whose
+fused multiply-adds the values depend on.
 """
 
 from __future__ import annotations
@@ -200,23 +201,22 @@ def check_trajectory(manifold: ChartManifold, times: np.ndarray, bases: np.ndarr
 def drift_record(Y: VectorField, x0: BasePoint, boundaries, counts) -> tuple:
     """RK4 of Y from x0 over the planned ``counts``: (times, states, points, jacobians).
 
-    Each stage point, a list of Python floats, passes ``check_floats`` once
-    and then makes one ``value_and_jacobian`` call.  ``points``, (S, n), and
-    ``jacobians``, (S, n, n), hold the S stages in RK4's order, four per
-    step, in flat buffers: a per-stage object would cost several times the
-    memory of the states.  The nodes are not yet checked.
+    Each stage point, a list of Python floats, passes ``check_floats`` once, and the floats of one
+    ``flat_value_and_jacobian`` call go straight into the RK4 state and the record.  ``points``, (S, n),
+    and ``jacobians``, (S, n, n), hold the S stages in RK4's order, four per step, in flat buffers: a
+    per-stage object would cost several times the memory of the states.  The nodes are not yet checked.
     """
+    n = x0.manifold.dim
     points, jacobians = array.array("d"), array.array("d")
 
     def rhs(t, x):
         Y.manifold.check_floats(x)
-        value, jac = Y.value_and_jacobian(x)
+        entries = Y.flat_value_and_jacobian(x)
         points.fromlist(x)
-        jacobians.frombytes(jac.tobytes())
-        return value.tolist()
+        jacobians.fromlist(entries[n:])
+        return entries[:n]
 
     times, states = rk4_segments(lambda k: rhs, x0.coords, boundaries, counts)
-    n = x0.manifold.dim
     return times, states, np.frombuffer(points).reshape(-1, n), np.frombuffer(jacobians).reshape(-1, n, n)
 
 
@@ -226,13 +226,14 @@ def linear_rhs(jacobians, shape: tuple, terms=None):
     Z is a fiber, ``shape`` (n,), or a differential, ``shape`` (n, n), as a
     row-major list.  ``terms`` yields, stage by stage, the list of vectors
     u_i X_i(x_s) added at stage s; none by default.  ``ndarray.dot`` is the BLAS product of ``@``
-    on the same shapes, without its ufunc dispatch.
+    on the same shapes, without its ufunc dispatch: a fiber list goes to it as it is.
     """
     stages = zip(jacobians, itertools.repeat(()) if terms is None else terms)
+    product = np.ndarray.dot if len(shape) == 1 else lambda jac, z: jac.dot(np.array(z).reshape(shape)).ravel()
 
     def rhs(t, z):
         jac, added = next(stages)
-        v = jac.dot(np.array(z).reshape(shape)).ravel().tolist()
+        v = product(jac, z).tolist()
         for term in added:
             v = [a + b for a, b in zip(v, term)]
         return v

@@ -168,7 +168,8 @@ class VectorField:
 
     A compiled field also carries ``kernel``, one function that maps
     coordinates as Python floats to the coefficients followed by the
-    row-major Jacobian entries.  ``vectorized`` says that ``func`` also takes an
+    row-major Jacobian entries; ``flat_value_and_jacobian`` gives these of
+    any field, as Python floats.  ``vectorized`` says that ``func`` also takes an
     (n, B) array of coordinate columns and returns one entry per
     coefficient, an array of B values or a constant, each equal to what
     the B single-point calls give.
@@ -211,25 +212,27 @@ class VectorField:
         return jac
 
     def value_and_jacobian(self, x: list) -> tuple:
-        """Coefficients and Jacobian at a checked point given as ``dim`` Python floats.
+        """Coefficients and Jacobian at a checked point, from ``flat_value_and_jacobian``.
 
-        A compiled field makes one ``kernel`` call; any other field goes
-        through ``func`` and ``jac`` (or central differences) on an array.
-        The Jacobian is C-contiguous whatever the layout ``jac`` returns,
-        since BLAS rounds ``@`` differently on a transposed one.
+        The Jacobian is C-contiguous, as BLAS rounds ``@`` differently on a transposed one.
         """
         n = self.manifold.dim
+        flat = np.array(self.flat_value_and_jacobian(x))
+        return flat[:n], flat[n:].reshape(n, n)
+
+    def flat_value_and_jacobian(self, x: list) -> list:
+        """The coefficients, then the row-major Jacobian, as Python floats at a checked point of ``dim`` floats.
+
+        One ``kernel`` call, its numpy scalars or integer 0 made floats, or ``func`` and ``jac`` (or differences).
+        """
         if self.kernel is not None:
-            flat = np.array(self.kernel(x), dtype=float)
-            return flat[:n], flat[n:].reshape(n, n)
+            return list(map(float, self.kernel(x)))
         coords = np.array(x, dtype=float)
         value = self.value(coords)
-        if self.jac is None:
-            return value, numeric_jacobian(self, coords)
-        mat = np.ascontiguousarray(self.jac(coords), dtype=float)
-        if mat.shape != (n, n):
+        mat = numeric_jacobian(self, coords) if self.jac is None else np.asarray(self.jac(coords), dtype=float)
+        if mat.shape != (self.manifold.dim,) * 2:
             raise ValueError(f"jacobian of {self.name} has shape {mat.shape}")
-        return value, mat
+        return value.tolist() + mat.ravel().tolist()
 
     def at_rows(self, rows: np.ndarray) -> np.ndarray:
         """Coefficients at each row of a (B, n) array of already-checked coordinates.

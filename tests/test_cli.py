@@ -328,6 +328,12 @@ def test_lift_check_stops_at_a_non_finite_lift(capsys, tmp_path):
             ["-1*y1", "y2*pow(-1, 0.5)"],
             "vertical_system.fiber_dynamics: result is not a real number (at position 3)",
         ),
+        (
+            "r2_shear",
+            ("fields", "X1"),
+            ["x1 + 0.0/0.0", "0"],
+            "field 'X1': undefined value nan (division by zero) (at position 8)\n",
+        ),
     ],
 )
 def test_malformed_scenario_input_names_its_key(capsys, tmp_path, scenario, path, value, message):

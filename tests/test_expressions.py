@@ -137,6 +137,22 @@ def test_number_out_of_float_range_is_a_parse_error(src, pos):
 
 
 @pytest.mark.parametrize(
+    "src, value, pos",
+    [
+        # A Float over a Float zero raises ZeroDivisionError inside sympy.
+        ("x1 + 0.0/0.0", "nan", 8),
+        ("-1.5/0.0*x2", "zoo", 4),
+        ("2.0/(-0.0)", "zoo", 3),
+        ("0/0.0", "nan", 1),
+    ],
+)
+def test_division_by_zero_is_a_parse_error(src, value, pos):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(src, chart_symbols(2))
+    assert str(err.value) == f"undefined value {value} (division by zero) (at position {pos})"
+
+
+@pytest.mark.parametrize(
     "src, pos",
     [
         ("x1 + pow(-2, 0.5)", 5),

@@ -1,7 +1,8 @@
 """The per-stage fast paths of RK4: the chart check on Python floats and power-free kernels on floats.
 
 Each path must give what the general path gives, bit for bit, and every
-stage must still go through ``ChartManifold.check_floats`` once.
+stage must still go through ``ChartManifold.check_floats`` once.  Each
+stage's derivative reaches the RK4 state as a list of Python floats.
 """
 
 import numpy as np
@@ -19,12 +20,15 @@ from tanlift import (
     base_lie_bracket,
     builtin_manifold,
     fiber_dynamics_from_expressions,
+    field_from_callable,
     field_from_expressions,
     flow,
+    simulate_lifted_ode,
 )
 from tanlift import flows
 from tanlift.expressions import chart_symbols, parse_expression
 from tanlift.flows import DEFAULT_CONFIG, flow_segments
+from tanlift.manifold import numeric_jacobian
 
 CHARTS = {
     "R2": builtin_manifold("R2"),
@@ -272,3 +276,85 @@ def test_every_rk4_stage_of_a_moving_base_calls_check_once(counted, name):
         counted.update(check=0, step=0)
         run(np.array(boundaries))
         assert counted == {"check": 4 * n_steps, "step": passes * n_steps}
+
+
+def _hand(x):
+    return np.array([np.cos(x[1]) * x[0], -0.3 * np.sin(x[0])])
+
+
+def _hand_jac(x):
+    # Built transposed: the entries must still come out row by row.
+    return np.array([[np.cos(x[1]), -0.3 * np.cos(x[0])], [-np.sin(x[1]) * x[0], 0.0]]).T
+
+
+_STAGE_FIELDS = {
+    "power-free": ["0.4*sin(x1) - 1.5*cos(x2)", "-cos(x1)*sin(x2) + 0.2*x1*x2"],
+    # Powers in the column and in the Jacobian: the kernel runs on numpy scalars.
+    "powered": ["x1*sin(x1*x2)", "1/x1"],
+    # r2_shear's drift: its kernel returns literal integer zeros.
+    "integer zeros": ["0", "x1"],
+    "hand with jac": _hand_jac,
+    "hand": None,
+}
+
+
+def _stage_field(chart, kind):
+    spec = _STAGE_FIELDS[kind]
+    if kind.startswith("hand"):
+        return field_from_callable(chart, _hand, spec, "Y")
+    return field_from_expressions(chart, spec, "Y")
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.fixture
+def derivatives(monkeypatch):
+    """Every derivative a right-hand side returns to ``_rk4_step``."""
+    seen, rk4_step = [], flows._rk4_step
+
+    def recorded_step(f, t, z, h):
+        def rhs(t, z):
+            seen.append(f(t, z))
+            return seen[-1]
+
+        return rk4_step(rhs, t, z, h)
+
+    monkeypatch.setattr(flows, "_rk4_step", recorded_step)
+    return seen
+
+
+@pytest.mark.parametrize("kind", sorted(_STAGE_FIELDS))
+def test_stage_derivatives_reach_the_rk4_state_as_python_floats(derivatives, kind):
+    """The drift record and its linear passes hand ``_rk4_step`` lists of exact floats.
+
+    A numpy scalar in the state keeps the values but makes every RK4
+    operation a numpy one.  ``flat_value_and_jacobian`` gives the bits of
+    the kernel's entries made an array, or of ``func`` and ``jac`` (or
+    central differences), and ``value_and_jacobian`` the same bits.
+    """
+    r2 = builtin_manifold("R2")
+    Y = _stage_field(r2, kind)
+    x = [0.8, -0.3]
+    flat = Y.flat_value_and_jacobian(x)
+    assert [type(v) for v in flat] == [float] * 6
+    if Y.kernel is not None:
+        want = np.array(Y.kernel(x), dtype=float)
+    else:
+        coords = np.array(x)
+        jac = numeric_jacobian(Y, coords) if Y.jac is None else _hand_jac(coords)
+        want = np.concatenate([_hand(coords), jac.ravel()])
+    assert _bits(flat) == _bits(want)
+    value, jac = Y.value_and_jacobian(x)
+    assert jac.flags.c_contiguous and _bits(flat) == _bits(np.concatenate([value, jac.ravel()]))
+
+    system = LiftedSystem(r2, Y, (field_from_expressions(r2, ["1", "x1*x2"], "X"),))
+    v0 = r2.tangent_point(x, [0.4, -1.3])
+    flow(Y, v0.base, 0.05)
+    simulate_lifted_ode(system, v0, ControlSignal(horizon=0.05, values=[[0.4], [-0.6]]))
+    simulate_lifted_ode(system, v0, None, horizon=0.05)
+    # Three passes of 50 steps, each a drift record and a linear pass.
+    assert len(derivatives) == 3 * 2 * 4 * 50
+    assert {type(k) for k in derivatives} == {list}
+    assert {type(v) for k in derivatives for v in k} == {float}
