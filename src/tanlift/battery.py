@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
+from .expressions import scalar_function
 from .lifts import (
     FunctionLift,
     _bracket,
@@ -58,38 +59,13 @@ def linear_combination(a: float, X: VectorField, b: float, Y: VectorField) -> Ve
 
 
 def _test_function(manifold: ChartManifold):
-    """A fixed scalar function with analytic gradient and Hessian.
+    """A fixed scalar function with its gradient and Hessian, both derived symbolically.
 
     On a 2-D chart it is sin(x1) x2 + cos(x2).  Each further coordinate
     x_k adds the term sin(x_k) x_(k-1), so that every coordinate enters.
     """
-
-    def f(x):
-        value = np.sin(x[0]) * x[1] + np.cos(x[1])
-        for k in range(2, manifold.dim):
-            value = value + np.sin(x[k]) * x[k - 1]
-        return value
-
-    def grad(x):
-        g = np.zeros(manifold.dim)
-        g[0] = np.cos(x[0]) * x[1]
-        g[1] = np.sin(x[0]) - np.sin(x[1])
-        for k in range(2, manifold.dim):
-            g[k - 1] += np.sin(x[k])
-            g[k] = np.cos(x[k]) * x[k - 1]
-        return g
-
-    def hess(x):
-        H = np.zeros((manifold.dim, manifold.dim))
-        H[0, 0] = -np.sin(x[0]) * x[1]
-        H[0, 1] = H[1, 0] = np.cos(x[0])
-        H[1, 1] = -np.cos(x[1])
-        for k in range(2, manifold.dim):
-            H[k, k] = -np.sin(x[k]) * x[k - 1]
-            H[k - 1, k] = H[k, k - 1] = np.cos(x[k])
-        return H
-
-    return f, grad, hess
+    terms = ["sin(x1)*x2 + cos(x2)", *(f"sin(x{k})*x{k - 1}" for k in range(3, manifold.dim + 1))]
+    return scalar_function(manifold.dim, " + ".join(terms))
 
 
 def _derived_function_lift(X: VectorField, kind: str, f, grad, hess) -> FunctionLift:

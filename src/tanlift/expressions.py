@@ -1,10 +1,10 @@
-"""Parser for the coefficient-expression grammar of scenario files.
+"""Coefficient expressions: the scenario grammar's parser and every sympy rule of the package.
 
 The grammar covers numeric literals, named variables, +, -, *, /, unary
-minus, parentheses, and the functions sin, cos, exp (one argument) and
-pow (two arguments).  Parsing produces sympy expressions so that every
-expression-defined field carries exact derivatives; evaluation goes
-through lambdify, with one memoized printer per field.
+minus, parentheses, and sin, cos, exp (one argument) and pow (two).
+Parsing produces sympy expressions; derivatives, brackets, structural
+zeros and the constant rule are formed here, on a payload no other module
+reads.  Evaluation goes through lambdify, with one memoized printer per field.
 """
 
 from __future__ import annotations
@@ -209,24 +209,26 @@ def _in_float_range(node, pos: int):
 
 
 def _unfit_constant(entries):
-    """``_NOT_REAL`` or ``_TOO_LARGE`` if ``entries`` hold a constant of that kind, else None.
+    """``_NOT_REAL`` or ``_TOO_LARGE`` for the first such constant a walk of ``entries`` meets, else None.
 
     Sympy can form such a constant as it simplifies or differentiates.  It
     writes pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and the log(-2) in
     the Jacobian of pow(-2, x2) as log(2) + I*pi; compiled code would
-    return complex values.  The Jacobian of N*x1*sin(N*x1) has N**2, a
-    fraction compiled code cannot turn into a float: it would raise
-    OverflowError.  A float constant that large prints as inf, which the
-    evaluation names.
+    return complex values.  The Jacobian of N*x1*sin(N*x1) has N**2, and
+    x1*1e200*1e200 the Float 1e400, which no float holds.  Only a Float the
+    exponent screen stops is converted, and none is hashed (that converts it).
     """
-    atoms = set().union(*(entry.atoms(sp.Rational, sp.Pow, type(sp.I)) for entry in entries))
-    powers = [atom for atom in atoms if atom.is_Pow]
-    if sp.I in atoms or any(p.is_number and p.is_extended_real is False for p in powers):
-        return _NOT_REAL
-    for atom in atoms.difference(powers):
-        # |p/q| can pass the float maximum only when p has 1023 more bits than q.
-        if abs(atom.p).bit_length() - atom.q.bit_length() >= 1023 and not _magnitude(atom) <= sys.float_info.max:
-            return _TOO_LARGE
+    for entry in entries:
+        for node in sp.preorder_traversal(entry):
+            if node is sp.I or node.is_Pow and node.is_number and node.is_extended_real is False:
+                return _NOT_REAL
+            if node.is_Rational:
+                # |p/q| can pass the float maximum only when p has 1023 more bits than q.
+                if abs(node.p).bit_length() - node.q.bit_length() >= 1023 and not _magnitude(node) <= sys.float_info.max:
+                    return _TOO_LARGE
+            # A Float is man * 2**exp, below 2**(exp + bits of man).
+            elif node.is_Float and sum(node._mpf_[2:]) >= 1024 and math.isinf(float(node)):
+                return _TOO_LARGE
     return None
 
 
@@ -268,7 +270,7 @@ def field_from_expressions(
             f"need {manifold.dim} coefficient expressions for {manifold.name}, got {len(exprs)}"
         )
     table = chart_symbols(manifold.dim)
-    args = [table[f"x{i + 1}"] for i in range(manifold.dim)]
+    args = list(table.values())
     column = tuple(parse_expression(src, table) for src in exprs)
     return field_from_symbolic(manifold, column, args, name)
 
@@ -366,9 +368,42 @@ def _derivative(expr, x):
     return expr.diff(x)
 
 
-def _dot(row, column):
-    """``row[0]*column[0] + ...`` as sympy's matrix product forms it: ``Add`` drops a product 0, keeps a nan 0*zoo."""
-    return sp.Add(*[a * b for a, b in zip(row, column)])
+def symbolic_bracket(X: VectorField, Y: VectorField, name: str) -> VectorField:
+    """[X, Y] = J_Y X - J_X Y of two symbolic fields, each entry the tree sympy's matrix product forms.
+
+    ``Add`` of the products drops a product 0 and keeps a nan 0*zoo; ``* -1``
+    flattens as sympy's product negates: -(-x2**0.0) is 1 there, x2**0.0 by ``-``.
+    """
+    (col_x, args, jac_x), (col_y, _, jac_y) = X.sym, Y.sym
+
+    def dot(row, column):
+        return sp.Add(*[a * b for a, b in zip(row, column)])
+
+    column = tuple(dot(dy, col_x) + dot(dx, col_y) * -1 for dy, dx in zip(jac_y(), jac_x()))
+    return field_from_symbolic(X.manifold, column, args, name)
+
+
+def structurally_zero(F: VectorField) -> bool:
+    """Every coefficient of F's payload is a sympy Number that is zero, 0.0 as 0: a proof that F vanishes.
+
+    sympy's ``is_zero`` of an expression costs milliseconds and answers "unknown" for nonzero brackets.
+    """
+    return F.sym is not None and all(c.is_Number and c.is_zero for c in F.sym[0])
+
+
+@functools.cache
+def scalar_function(dim: int, src: str) -> tuple:
+    """f, its gradient and its Hessian as functions of a coordinate vector, for ``src`` over x1..x_dim.
+
+    The gradient is ``_derivative``'s column, a field on an unbounded chart whose kernel gives the Hessian.
+    """
+    table = chart_symbols(dim)
+    args = list(table.values())
+    expr = parse_expression(src, table)
+    value = _compile(_printer(), args, [expr], "function")
+    chart = ChartManifold(dim=dim, name=f"R{dim}")
+    gradient = field_from_symbolic(chart, tuple(_derivative(expr, x) for x in args), args, "gradient")
+    return (lambda x: value(x)[0]), gradient.value, gradient.jacobian_at
 
 
 def _power_free(exprs) -> bool:
@@ -426,13 +461,8 @@ def fiber_dynamics_from_expressions(
     n = manifold.dim
     if len(exprs) != n:
         raise ValueError(f"need {n} fiber dynamics expressions, got {len(exprs)}")
-    table = {}
-    table.update(chart_symbols(n, "x"))
-    table.update(chart_symbols(n, "y"))
-    table.update(chart_symbols(control_dim, "u"))
-    args = [table[f"x{i + 1}"] for i in range(n)]
-    args += [table[f"y{i + 1}"] for i in range(n)]
-    args += [table[f"u{i + 1}"] for i in range(control_dim)]
+    table = {**chart_symbols(n, "x"), **chart_symbols(n, "y"), **chart_symbols(control_dim, "u")}
+    args = list(table.values())
     parsed = [parse_expression(src, table) for src in exprs]
     f_vec = _compile(_printer(), args, parsed, "fiber dynamics")
 

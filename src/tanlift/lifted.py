@@ -17,6 +17,7 @@ import numpy as np
 
 from .controls import ControlSignal, _check_horizon, segment_boundaries
 from .errors import AlignmentError, NumericalError, TargetBaseError
+from .expressions import structurally_zero
 from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
     FlowResult,
@@ -347,7 +348,7 @@ def ad_criterion(
 
     Iterates ad_Y^k Xi(x0) for k = 0..k_max (default 2*dim), stopping
     early only on proof: once the rank fills the tangent space, or once
-    every newest bracket is symbolically zero, so that no deeper bracket
+    every newest bracket is ``structurally_zero``, so that no deeper bracket
     adds a direction (``saturated``).  A rank that stays the same over
     depths proves nothing: ad_Y^k (1, x1^3) at the origin adds (0, 6) only
     at depth 3.  A full rank is sufficient for fiberwise controllability
@@ -367,9 +368,7 @@ def ad_criterion(
         k_used = k
         if basis.rank == dim:
             break
-        # A structural zero is a proof; sympy's is_zero costs milliseconds
-        # per column and answers "unknown" for nonzero brackets anyway.
-        if all(B.sym is not None and all(c == 0 for c in B.sym[0]) for B in current):
+        if all(map(structurally_zero, current)):
             saturated = True
             break
     depth = ranks.index(basis.rank)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .expressions import _dot, field_from_symbolic
+from .expressions import symbolic_bracket
 from .manifold import (
     DEFAULT_DERIV_STEP,
     BasePoint,
@@ -107,11 +107,7 @@ def base_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
         raise ValueError("bracket operands live on charts of different dimension")
     name = f"[{X.name},{Y.name}]"
     if X.sym is not None and Y.sym is not None:
-        col_x, args, jac_x = X.sym
-        col_y, _, jac_y = Y.sym
-        # ``* -1`` flattens again as sympy's product negates: -(-x2**0.0) is 1 there, x2**0.0 by ``-``.
-        column = tuple(_dot(dy, col_x) + _dot(dx, col_y) * -1 for dy, dx in zip(jac_y(), jac_x()))
-        return field_from_symbolic(X.manifold, column, args, name)
+        return symbolic_bracket(X, Y, name)
 
     def func(x):
         x = x.tolist()

@@ -161,10 +161,9 @@ class VectorField:
     ``func`` maps a raw coordinate vector to the coefficient vector; the
     optional ``jac`` maps it to the dim x dim matrix of partial derivatives
     d(coeff_i)/d(x_j).  Fields built from coefficient expressions carry a
-    symbolic payload in ``sym``: a tuple of sympy expressions over x1..xn,
-    those symbols, and a cached function that returns their Jacobian as a
-    tuple of row tuples.  It makes Lie-bracket recursion exact; hand-built
-    fields fall back to central finite differences.
+    symbolic payload in ``sym``, opaque outside ``expressions``: other
+    modules only test it against None.  It makes Lie-bracket recursion
+    exact; hand-built fields fall back to central finite differences.
 
     A compiled field also carries ``kernel``, one function that maps
     coordinates as Python floats to the coefficients followed by the

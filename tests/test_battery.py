@@ -126,6 +126,14 @@ def test_the_test_function_has_a_term_in_every_coordinate():
     assert np.array_equal(grad2(x), [np.cos(x[0]) * x[1], np.sin(x[0]) - np.sin(x[1])])
 
 
+def test_the_test_function_compiles_once_per_dimension_on_an_unbounded_chart():
+    functions = _test_function(builtin_manifold("R2"))
+    assert _test_function(builtin_manifold("S2-spherical")) is functions
+    gradient = functions[1].__self__
+    assert gradient.manifold.dim == 2
+    assert np.isinf(gradient.manifold.bounds).all()
+
+
 def test_battery_passes_for_fields_that_depend_on_x3():
     m3 = ChartManifold(dim=3, name="R3")
     fields = [

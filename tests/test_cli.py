@@ -537,8 +537,21 @@ def test_a_drift_whose_bracket_jacobian_holds_a_dirac_delta(capsys, tmp_path, y2
             2,
             "error: field 'Y': result is undefined or out of the float range (at position 15)\n",
         ),
+        (
+            "x1*1e200*1e200",
+            2,
+            "error: field 'Y': result is undefined or out of the float range (at position 8)\n",
+        ),
+        ("x1/1e-320", 2, "error: field 'Y': result is undefined or out of the float range (at position 2)\n"),
     ],
-    ids=["constant", "log-of-a-negative", "power-of-a-negative", "product-beyond-the-float-range"],
+    ids=[
+        "constant",
+        "log-of-a-negative",
+        "power-of-a-negative",
+        "product-beyond-the-float-range",
+        "float-product-beyond-the-float-range",
+        "float-quotient-beyond-the-float-range",
+    ],
 )
 def test_a_non_real_constant_ends_in_a_one_line_message(capsys, tmp_path, y2, code, message, command):
     # sympy writes pow(-2, 0.5) as 1.4142*I, and the log(-2) in the Jacobian
@@ -559,6 +572,19 @@ def test_a_non_real_constant_ends_in_a_one_line_message(capsys, tmp_path, y2, co
         assert result == 0
     else:
         assert (result, captured.out, captured.err) == (code, "", message)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_float_constant_beyond_the_float_range_in_a_jacobian_ends_in_a_one_line_message(capsys, tmp_path, command):
+    # d/dx1 of 1e308*x1**3 has 3.0e308.  brackets and lift-check meet it
+    # first in the bracket [X1, Y], the first column of Y's Jacobian.
+    doc = json.loads((SCENARIOS / "r2_shear.json").read_text())
+    doc["fields"]["Y"] = ["0", "1e308*pow(x1, 3)"]
+    result = main([command, "--scenario", write_scenario(tmp_path, doc)])
+    captured = capsys.readouterr()
+    field = "field '[X1,Y]'" if command in ("brackets", "lift-check") else "Jacobian of field 'Y'"
+    message = f"numerical failure: {field} has a constant beyond the float range\n"
+    assert (result, captured.out, captured.err) == (3, "", message)
 
 
 def _grammar_scenario(chart: str, drift: list, control: list) -> dict:

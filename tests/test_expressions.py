@@ -2,6 +2,7 @@ import contextlib
 import gc
 import inspect
 import linecache
+import sys
 import weakref
 from pathlib import Path
 
@@ -128,6 +129,9 @@ def test_nesting_past_the_limit_is_a_parse_error(src, pos):
         # Not constant, but it holds 10**400, which no float holds.
         ("x1*pow(10, 200)*pow(10, 200)", 15),
         ("x1/pow(2, -1074)", 2),
+        # Not constant, but it holds the Float 1e400 or 1e320.
+        ("x1*1e200*1e200", 8),
+        ("x1/1e-320", 2),
     ],
 )
 def test_number_out_of_float_range_is_a_parse_error(src, pos):
@@ -192,6 +196,28 @@ def test_a_constant_beyond_the_float_range_formed_by_differentiation_is_a_numeri
     # J_Y X - J_X Y, whose first entry has N**2 too.
     with pytest.raises(NumericalError, match=r"^field '\[X,Y\]' has a constant beyond the float range$"):
         base_lie_bracket(X, Y)
+
+
+def test_a_float_constant_is_held_to_the_float_range_by_its_exponent(r2, monkeypatch):
+    x1, x2 = chart_symbols(2).values()
+    largest = sympy.Float(sys.float_info.max)
+    assert expressions._unfit_constant([largest * x1, 1.5 * sympy.sin(1e-300 * x2)]) is None
+    assert expressions._unfit_constant([x2, 2 * largest * x1]) == "beyond the float range"
+    # d/dx1 of 1e308*x1**3 has 3.0e308, past the largest float.
+    Y = field_from_expressions(r2, ["0", "1e308*pow(x1, 3)"], "Y")
+    assert np.isfinite(Y.at([1.0, 0.5])).all()
+    with pytest.raises(NumericalError, match=r"^Jacobian of field 'Y' has a constant beyond the float range$"):
+        Y.jacobian_at([1.0, 0.5])
+    # A Float the exponent screen passes is neither converted nor hashed;
+    # the largest float, at the screen's edge, is converted once.
+    entries = [0.5 * sympy.sin(x1) + 2.5 * x2 * sympy.cos(1.5 * x1), largest * x2]
+    touched = []
+    for name in ("__float__", "__hash__"):
+        method = getattr(sympy.Float, name)
+        counted = lambda self, name=name, method=method: touched.append(name) or method(self)  # noqa: E731
+        monkeypatch.setattr(sympy.Float, name, counted)
+    assert expressions._unfit_constant(entries) is None
+    assert touched == ["__float__"]
 
 
 def test_a_non_real_constant_sympy_forms_is_a_parse_error_or_a_numerical_error(r2):

@@ -11,6 +11,8 @@ name or attribute, somewhere in the package outside its own body and
 outside other private functions that are themselves unreferenced.
 Only ``expressions`` imports sympy, and no function body imports
 anything, so the module boundary is the import list at each module's top.
+Only ``expressions`` reads a field's symbolic payload: elsewhere
+``F.sym`` is only tested against None.
 """
 
 import ast
@@ -187,3 +189,41 @@ def test_no_function_body_imports():
         for module in _imported_modules(node)
     ]
     assert found == []
+
+
+def payload_reads(source: str) -> list:
+    """Line of each ``.sym`` attribute that is not the left side of ``is None`` or ``is not None``."""
+    tree = ast.parse(source)
+    tests = {
+        id(node.left)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "sym" and id(node) not in tests
+    )
+
+
+def test_payload_checker_allows_only_none_tests():
+    source = (
+        "if X.sym is None or Y.sym is not None:\n"
+        "    col, args, jac = X.sym\n"
+        "ok = all(c == 0 for c in B.sym[0]) and X.sym == None\n"
+        "None is X.sym\n"
+    )
+    assert payload_reads(source) == [2, 3, 3, 4]
+
+
+def test_only_expressions_reads_symbolic_payloads():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "expressions.py" and (lines := payload_reads(path.read_text()))
+    }
+    assert found == {}

@@ -404,6 +404,16 @@ def test_ad_criterion_commuting_pair_saturates_at_depth_one(r2):
     assert (result.basis.rank, result.k_used) == (1, 1)
 
 
+@pytest.mark.parametrize("zero", ["0", "0.0"])
+def test_ad_criterion_zero_control_saturates_at_depth_zero(r2, zero):
+    # sympy's Float(0.0) == 0 is False, but 0.0 is a structural zero as 0 is.
+    Y = field_from_expressions(r2, ["0", "x1"], "Y")
+    X = field_from_expressions(r2, [zero, zero], "X1")
+    result = ad_criterion(LiftedSystem(r2, Y, (X,)), r2.point([1.0, 0.0]))
+    assert result.saturated
+    assert (result.basis.rank, result.depth, result.k_used) == (0, 0, 0)
+
+
 def test_ad_criterion_depth_guard(r2, shear_system):
     # The same rule as transported_derivatives: depth > 6 needs symbolic fields.
     Y = field_from_callable(r2, lambda x: np.array([0.0, x[0]]), name="Y")
