@@ -288,6 +288,11 @@ def cmd_bump_convergence(run: _Run) -> tuple:
     signals = []
     for frac in bump.epsilon_fractions:
         segments = 1.0 / frac
+        # Before rounding, with the tolerance below: 1 / 1e-320 is inf, which no int holds.
+        if segments > run.cfg.max_steps + 1e-9:
+            raise ScenarioError(
+                f"bump width fraction {frac} gives more control segments than the step budget of {run.cfg.max_steps}"
+            )
         if abs(segments - round(segments)) > 1e-9:
             raise ScenarioError(f"bump width fraction {frac} must divide the horizon evenly")
         segments = int(round(segments))
@@ -389,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS), help="analysis to run")
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    parser.add_argument("--seed", type=int, default=42, help="RNG seed for sampled checks")
+    seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
+    parser.add_argument("--seed", type=seed, default=42, help="RNG seed for sampled checks")
     step = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
     parser.add_argument("--step", type=step, default=DEFAULT_CONFIG.step, help="RK4 step size")
     budget = _flag(int, lambda v: v >= 1, "an integer >= 1")

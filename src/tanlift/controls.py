@@ -79,6 +79,11 @@ def _check_horizon(horizon, what: str = "control horizon") -> None:
         raise ValueError(f"{what} must be positive and finite, got {horizon}")
 
 
+def _check_channels(u: ControlSignal, channels: int) -> None:
+    if u.channels != channels:
+        raise ValueError(f"control has {u.channels} channels, system expects {channels}")
+
+
 def segment_boundaries(u: Optional[ControlSignal], horizon: Optional[float], channels: int):
     """Boundaries of the segments of u, or [0, horizon] when there is no control.
 
@@ -91,6 +96,5 @@ def segment_boundaries(u: Optional[ControlSignal], horizon: Optional[float], cha
         return np.array([0.0, horizon])
     if horizon is not None and horizon != u.horizon:
         raise ValueError(f"horizon {horizon} differs from the control horizon {u.horizon}")
-    if u.channels != channels:
-        raise ValueError(f"control has {u.channels} channels, system expects {channels}")
+    _check_channels(u, channels)
     return u.boundaries

@@ -9,10 +9,10 @@ reads.  Evaluation goes through lambdify, with one memoized printer per field.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ from .manifold import ChartManifold, VectorField
 
 _FUNCTIONS = {"sin": (sp.sin, 1), "cos": (sp.cos, 1), "exp": (sp.exp, 1), "pow": (None, 2)}
 
-# The smallest positive float (subnormal).
-_FLOAT_TINY = math.ldexp(1.0, -1074)
 _OUT_OF_RANGE = "result is undefined or out of the float range"
 # What ``_unfit_constant`` finds; the compile gate's messages end in them.
 _NOT_REAL, _TOO_LARGE = "that is not real", "beyond the float range"
@@ -172,63 +170,69 @@ class _Parser:
         raise ExpressionError(f"unexpected {label}", pos)
 
 
-def _magnitude(constant) -> float:
-    """``abs`` of a constant expression to 5 digits; inf past the float range, nan if undefined."""
-    return abs(complex(constant.evalf(5)))
-
-
 def _power(base, exponent, pos: int):
     """``base ** exponent``, unless a constant power lies outside the float range.
 
     Sympy computes a power of rationals exactly, so a tower such as
-    ``pow(2, pow(3, pow(3, 3)))`` would not finish; the magnitude of a
-    constant power is evaluated first.
+    ``pow(2, pow(3, pow(3, 3)))`` would not finish, and a tiny power such
+    as ``pow(2, -1000000000)`` would be expanded digit by digit; a constant
+    power is evaluated first.  One that rounds to 0.0 from a nonzero base
+    is below the smallest float; any other is held to ``_unfit_constant``.
     """
     if base.is_number and exponent.is_number and not base.is_zero:
-        if not _FLOAT_TINY <= _magnitude(sp.Pow(base, exponent, evaluate=False)) <= sys.float_info.max:
+        power = sp.Pow(base, exponent, evaluate=False)
+        if not complex(power.evalf(17)):
             raise ExpressionError(_OUT_OF_RANGE, pos)
+        _in_float_range(power, pos)
     return _defined(base**exponent, pos)
 
 
 def _in_float_range(node, pos: int):
-    """``node``, unless it is or holds a constant that is undefined, beyond the float range or not real.
+    """``node``, unless it is or holds a constant that ``_unfit_constant`` finds.
 
     Sympy evaluates functions of constants, and ``sin`` of a constant as
     large as ``exp(exp(31.6))`` would not finish.  A constant such as
     ``pow(-2, 0.5)`` is complex, and compiled code cannot make it a float.
-    Any other node is held to the compile gate's rule, ``_unfit_constant``.
     """
-    if node.is_number:
-        value = complex(node.evalf(5))
-        unfit = _TOO_LARGE if not abs(value) <= sys.float_info.max else _NOT_REAL if value.imag else None
-    else:
-        unfit = _unfit_constant([node])
+    unfit = _unfit_constant([node])
     if unfit:
         raise ExpressionError(_OUT_OF_RANGE if unfit == _TOO_LARGE else "result is not a real number", pos)
     return node
 
 
 def _unfit_constant(entries):
-    """``_NOT_REAL`` or ``_TOO_LARGE`` for the first such constant a walk of ``entries`` meets, else None.
+    """``_TOO_LARGE`` or ``_NOT_REAL`` for the first unfit constant a walk of ``entries`` meets, else None.
 
-    Sympy can form such a constant as it simplifies or differentiates.  It
-    writes pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and the log(-2) in
-    the Jacobian of pow(-2, x2) as log(2) + I*pi; compiled code would
-    return complex values.  The Jacobian of N*x1*sin(N*x1) has N**2, and
-    x1*1e200*1e200 the Float 1e400, which no float holds.  Only a Float the
-    exponent screen stops is converted, and none is hashed (that converts it).
+    The one constant rule of the parser and the compile gate: a constant
+    is fit when its value, rounded to a float, is finite and real.  The
+    walk decides each topmost constant node whole.  A Rational rounds as
+    Python's ``p / q`` does; a Float is screened by its exponent and only
+    one past the screen is converted, and none is hashed (that converts
+    it); any other constant, such as ``exp(710)`` or ``(-1)**(1/3)``, is
+    evaluated to 17 digits.  An infinity or NaN is ``_defined``'s to
+    reject in the parser, and compiled code reports it as not finite.
+
+    Sympy can form an unfit constant as it folds, simplifies or
+    differentiates.  It writes ``x1*exp(700)*exp(10)`` as ``x1*exp(710)``,
+    pow(-exp(x1), 1/3) as (-1)**(1/3)*exp(x1/3), and the log(-2) in the
+    Jacobian of pow(-2, x2) as log(2) + I*pi.  The Jacobian of
+    N*x1*sin(N*x1) has N**2, and x1*1e200*1e200 the Float 1e400.
     """
     for entry in entries:
-        for node in sp.preorder_traversal(entry):
-            if node is sp.I or node.is_Pow and node.is_number and node.is_extended_real is False:
-                return _NOT_REAL
-            if node.is_Rational:
-                # |p/q| can pass the float maximum only when p has 1023 more bits than q.
-                if abs(node.p).bit_length() - node.q.bit_length() >= 1023 and not _magnitude(node) <= sys.float_info.max:
-                    return _TOO_LARGE
+        walk = sp.preorder_traversal(entry)
+        for node in walk:
+            if not node.is_number:
+                continue
+            walk.skip()
             # A Float is man * 2**exp, below 2**(exp + bits of man).
-            elif node.is_Float and sum(node._mpf_[2:]) >= 1024 and math.isinf(float(node)):
+            if node.is_Float and sum(node._mpf_[2:]) < 1024 or node in _UNDEFINED:
+                continue
+            # sympy rounds p/q to the nearest float, and to inf where Python's p / q overflows.
+            value = float(node) if node.is_Rational or node.is_Float else complex(node.evalf(17))
+            if not cmath.isfinite(value):
                 return _TOO_LARGE
+            if value.imag:
+                return _NOT_REAL
     return None
 
 

@@ -45,6 +45,11 @@ class IntegratorConfig:
             return 0
         return max(1, math.ceil(abs(span) / self.step))
 
+    def check_span(self, span: float) -> None:
+        """Reject a pass over ``span`` that needs more than ``max_steps`` steps by span / step alone."""
+        if math.isfinite(span) and abs(span) / self.step > self.max_steps:
+            raise StepBudgetError(f"horizon {span} needs more steps of {self.step} than the budget of {self.max_steps}")
+
     def plan(self, boundaries, even: bool = False) -> np.ndarray:
         """Step counts of the segments [boundaries[k], boundaries[k + 1]] of one pass.
 
@@ -54,8 +59,7 @@ class IntegratorConfig:
         so a count too large to print or to hold in a float never is.
         """
         span = float(boundaries[-1] - boundaries[0])
-        if math.isfinite(span) and abs(span) / self.step > self.max_steps:
-            raise StepBudgetError(f"horizon {span} needs more steps of {self.step} than the budget of {self.max_steps}")
+        self.check_span(span)
         counts = [self.steps_for(b - a) for a, b in zip(boundaries[:-1], boundaries[1:])]
         if even:
             counts = [max(2, c + c % 2) for c in counts]

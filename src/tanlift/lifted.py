@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import ControlSignal, _check_horizon, segment_boundaries
-from .errors import AlignmentError, NumericalError, TargetBaseError
+from .controls import ControlSignal, _check_channels, _check_horizon, segment_boundaries
+from .errors import AlignmentError, NumericalError, StepBudgetError, TargetBaseError
 from .expressions import structurally_zero
 from .flows import (  # noqa: F401  integrate_fixed: the benchmark tracer wraps this binding
     DEFAULT_CONFIG,
@@ -239,8 +239,23 @@ def build_transport_grid(
     """
     if N < 2:
         raise ValueError("need at least 2 grid segments")
+    return _transport_segments(sys, x0, _grid_nodes(sys, x0, T, N, cfg), cfg)
+
+
+def _grid_nodes(sys: LiftedSystem, x0: BasePoint, T: float, N: int, cfg: IntegratorConfig) -> np.ndarray:
+    """The N + 1 uniform nodes of [0, T] of a transport pass, formed only if the pass can fit its step budget.
+
+    Each of the N segments takes at least 2 RK4 steps, so 2N steps over
+    ``cfg.max_steps`` is rejected before any node exists.  The pass's own
+    earlier checks come first, in its order: a drift not finite at x0,
+    then a horizon over the budget by span / step.
+    """
     _check_horizon(T, "horizon")
-    return _transport_segments(sys, x0, np.linspace(0.0, T, N + 1), cfg)
+    if 2 * N > cfg.max_steps:
+        sys.drift.at(x0)
+        cfg.check_span(T)
+        raise StepBudgetError(f"horizon {T} on {N} grid segments needs at least {2 * N} steps, budget is {cfg.max_steps}")
+    return np.linspace(0.0, T, N + 1)
 
 
 def _segment_quadrature(columns: np.ndarray, k0: int, span: int, h: float) -> np.ndarray:
@@ -269,8 +284,7 @@ def apply_LT(grid: TransportOperatorGrid, u: ControlSignal) -> np.ndarray:
     alignment error.
     """
     m, n = grid.columns.shape[1:]
-    if u.channels != m:
-        raise ValueError(f"control has {u.channels} channels, system expects {m}")
+    _check_channels(u, m)
     if abs(u.horizon - grid.horizon) > _BOUNDARY_RTOL * max(1.0, grid.horizon):
         raise AlignmentError(
             f"control horizon {u.horizon} does not match grid horizon {grid.horizon}"
@@ -442,8 +456,7 @@ def steer_lifted(
     """
     if N < 1:
         raise ValueError("need at least 1 grid segment")
-    _check_horizon(T, "horizon")
-    grid = _transport_segments(sys, v0.base, np.linspace(0.0, T, N + 1), cfg)
+    grid = _transport_segments(sys, v0.base, _grid_nodes(sys, v0.base, T, N, cfg), cfg)
     x_T = grid.final_coords
     base_err = float(np.linalg.norm(target.base.coords - x_T))
     if base_err > _TARGET_BASE_TOL:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .controls import ControlSignal, _check_horizon
+from .controls import ControlSignal, _check_channels, _check_horizon
 from .errors import NumericalError
 from .flows import DEFAULT_CONFIG, IntegratorConfig, TangentTrajectory, simulate_bundle, still_base_pass
 from .manifold import BasePoint, ChartManifold, DriftControlSystem, TangentPoint
@@ -101,13 +101,10 @@ def solve_vertical_closed_form(
     piecewise-constant controls because the integrals are computed
     segment by segment.
     """
-    if u.channels != sys.control_dim:
-        raise ValueError(f"control has {u.channels} channels, system expects {sys.control_dim}")
-    if not 0.0 <= t <= u.horizon:
-        raise ValueError(f"time {t} outside the control horizon [0, {u.horizon}]")
+    _check_channels(u, sys.control_dim)
+    integrals = u.integral(t)
     x0 = v0.base
     fiber = v0.fiber + t * sys.drift.at(x0)
-    integrals = u.integral(t)
     for alpha, X in zip(integrals, sys.controls):
         fiber = fiber + alpha * X.at(x0)
     return TangentPoint(x0, fiber)

@@ -489,6 +489,10 @@ def test_bump_convergence_commuting_is_flat(capsys):
             {"horizon": 20.0, "--grid": "40"},
             "bump width fraction 0.0625 gives 16 control segments, which neither align with nor refine the 40-segment grid",
         ),
+        (
+            {"epsilon_fractions": [0.5, 1e-300], "--grid": "8"},
+            "bump width fraction 1e-300 gives more control segments than the step budget of 1000000",
+        ),
     ],
 )
 def test_bump_convergence_rejects_a_bump_off_the_grid(capsys, tmp_path, monkeypatch, bump, message):
@@ -543,6 +547,11 @@ def test_a_drift_whose_bracket_jacobian_holds_a_dirac_delta(capsys, tmp_path, y2
             "error: field 'Y': result is undefined or out of the float range (at position 8)\n",
         ),
         ("x1/1e-320", 2, "error: field 'Y': result is undefined or out of the float range (at position 2)\n"),
+        (
+            "x1*exp(700)*exp(10)",
+            2,
+            "error: field 'Y': result is undefined or out of the float range (at position 11)\n",
+        ),
     ],
     ids=[
         "constant",
@@ -551,6 +560,7 @@ def test_a_drift_whose_bracket_jacobian_holds_a_dirac_delta(capsys, tmp_path, y2
         "product-beyond-the-float-range",
         "float-product-beyond-the-float-range",
         "float-quotient-beyond-the-float-range",
+        "folded-exp-beyond-the-float-range",
     ],
 )
 def test_a_non_real_constant_ends_in_a_one_line_message(capsys, tmp_path, y2, code, message, command):
@@ -817,6 +827,16 @@ def test_step_budget_bounds_the_whole_transport_pass(capsys, budget, code):
         assert captured.err == f"numerical failure: horizon 1.0 needs 1024 steps of 0.001, budget is {budget}\n"
 
 
+@pytest.mark.parametrize("command", ["reachable", "controllability", "bump-convergence"])
+def test_a_grid_too_large_for_the_step_budget_fails_before_its_nodes_exist(capsys, command):
+    # 10**21 nodes are more than numpy can allocate; 2 steps a segment are far over the budget.
+    grid = 10**21
+    result = main([command, "--scenario", str(SCENARIOS / "r2_shear.json"), "--grid", str(grid)])
+    captured = capsys.readouterr()
+    message = f"horizon 1.0 on {grid} grid segments needs at least {2 * grid} steps, budget is 1000000"
+    assert (result, captured.out, captured.err) == (3, "", f"numerical failure: {message}\n")
+
+
 @pytest.mark.parametrize("step", ["1e-300", "1e-310"])
 def test_tiny_step_is_a_step_budget_failure_without_a_count(capsys, step):
     # 1 / 1e-300 steps is a 301-digit count and 1 / 1e-310 overflows to inf;
@@ -865,6 +885,7 @@ def test_singular_flow_differential_is_numerical_failure(capsys, tmp_path):
         ("--rank-tol", "nan"),
         ("--rank-tol", "0"),
         ("--rank-tol", "1"),
+        ("--seed", "-1"),
     ],
 )
 def test_bad_flag_is_input_error(capsys, flag, value):
@@ -882,6 +903,7 @@ def test_bad_flag_is_input_error(capsys, flag, value):
         ("--max-steps", "1.5", "an integer >= 1"),
         ("--grid", "eight", "an integer >= 2"),
         ("--rank-tol", "tiny", "a number in (0, 1)"),
+        ("--seed", "seven", "an integer >= 0"),
     ],
 )
 def test_a_non_numeric_flag_is_an_input_error(capsys, flag, value, requirement):

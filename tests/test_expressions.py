@@ -2,6 +2,7 @@ import contextlib
 import gc
 import inspect
 import linecache
+import math
 import sys
 import weakref
 from pathlib import Path
@@ -132,6 +133,8 @@ def test_nesting_past_the_limit_is_a_parse_error(src, pos):
         # Not constant, but it holds the Float 1e400 or 1e320.
         ("x1*1e200*1e200", 8),
         ("x1/1e-320", 2),
+        # sympy folds it to x1*exp(710), which no float holds.
+        ("x1*exp(700)*exp(10)", 11),
     ],
 )
 def test_number_out_of_float_range_is_a_parse_error(src, pos):
@@ -167,6 +170,8 @@ def test_division_by_zero_is_a_parse_error(src, value, pos):
         # Not constant, but sympy writes it with (-1)**(1/3).
         ("pow(-exp(x1), 1/3)", 0),
         ("x2 + sin(x1)*pow(-exp(x1), 1/3)", 13),
+        # Both parts are finite floats, though its modulus is past the float maximum.
+        ("pow(-2, 1024.25)", 0),
     ],
 )
 def test_non_real_constant_is_a_parse_error(src, pos):
@@ -218,6 +223,37 @@ def test_a_float_constant_is_held_to_the_float_range_by_its_exponent(r2, monkeyp
         monkeypatch.setattr(sympy.Float, name, counted)
     assert expressions._unfit_constant(entries) is None
     assert touched == ["__float__"]
+
+
+_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["1.7976931348623157e308*1", f"x1*{_MAX_INT}", f"{_MAX_INT}"],
+    ids=["largest-float-times-one", "x1-times-the-largest-integer", "the-largest-integer"],
+)
+def test_a_constant_that_rounds_to_the_largest_float_parses_compiles_and_evaluates(r2, src):
+    Y = field_from_expressions(r2, [src, "x2"], "Y")
+    assert Y.at([1.0, 0.5]).tolist() == [sys.float_info.max, 0.5]
+    assert np.isfinite(Y.jacobian_at([1.0, 0.5])).all()
+
+
+# Halfway between the float maximum and 2**1024: p / q rounds to inf from here up.
+_HALFWAY = 2**1024 - 2**970
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(q=st.integers(1, 2**64), offset=st.integers(-(2**975), 2**975), sign=st.sampled_from([1, -1]))
+def test_a_rational_is_fit_exactly_when_python_rounds_it_to_a_float(q, offset, sign):
+    p = sign * (_HALFWAY * q + offset)
+    try:
+        p / q
+    except OverflowError:
+        expected = "beyond the float range"
+    else:
+        expected = None
+    assert expressions._unfit_constant([sympy.Rational(p, q)]) == expected
 
 
 def test_a_non_real_constant_sympy_forms_is_a_parse_error_or_a_numerical_error(r2):
@@ -344,9 +380,9 @@ def _compile_kernels(fields):
                 X.kernel(np.array([0.3, 0.7]))
 
 
-def _grammar(variables, depth=8):
-    """Coefficient expressions over ``variables``, nesting up to ``depth`` tree levels."""
-    literals = st.sampled_from(["2", "0.5", "0.1", "0.10000000000000000000001", "1.000000000000000000000"])
+def _grammar(variables, depth=8, literals=("2", "0.5", "0.1", "0.10000000000000000000001", "1.000000000000000000000")):
+    """Coefficient expressions over ``variables`` and ``literals``, nesting up to ``depth`` tree levels."""
+    literals = st.sampled_from(literals)
     leaves = st.one_of(literals, st.sampled_from([*variables, "exp(1)"]))
     exponents = st.sampled_from(["-2", "-1", "0.5", "-1.5", "1/3", "3", *variables])
     tree = leaves
@@ -402,6 +438,32 @@ def test_drawn_fiber_dynamics_compile_to_plain_lambdify_source(exprs):
         _parsed(lambda: fiber_dynamics_from_expressions(r2, exprs, control_dim=1))
 
     assert _compiles_as_plain_lambdify(build) == 1
+
+
+# Within a few ulps of the float maximum, as Floats and as Integers.
+# 1.7976931348623158e308 and the last Integer are past it but round to
+# it; the next Integer up would round to inf.
+_NEAR_MAX = [
+    repr(sys.float_info.max),
+    repr(math.nextafter(sys.float_info.max, 0.0)),
+    "1.7976931348623158e308",
+    str(_MAX_INT),
+    str(_MAX_INT - 2**971),
+    str(_MAX_INT + 2**969 - 1),
+]
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_grammar(["x1", "x2"], depth=4, literals=("2", "0.5", *_NEAR_MAX)), min_size=2, max_size=2))
+def test_a_field_whose_entries_parse_passes_the_compile_gate(exprs):
+    # The parser and the compile gate hold constants to one rule.
+    table = chart_symbols(2)
+    try:
+        for src in exprs:
+            parse_expression(src, table)
+    except ExpressionError:
+        return
+    field_from_expressions(builtin_manifold("R2"), exprs, "X")
 
 
 def test_long_float_jacobian_compiles_to_plain_lambdify_source(r2):

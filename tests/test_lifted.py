@@ -14,6 +14,7 @@ from tanlift import (
     IntegratorConfig,
     LiftedSystem,
     NumericalError,
+    StepBudgetError,
     TangentPoint,
     TargetBaseError,
     UnreachableTargetError,
@@ -522,6 +523,20 @@ def test_steer_rejects_empty_grid_or_horizon(r2, shear_system, T, N, message):
     target = r2.tangent_point([1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError, match=message):
         steer_lifted(shear_system, v0, target, T, N=N)
+
+
+@pytest.mark.parametrize("call", ["build_transport_grid", "steer_lifted"])
+def test_a_grid_over_the_step_budget_is_rejected_before_its_nodes_exist(r2, shear_system, call):
+    # 10**21 + 1 nodes are more than numpy can allocate.
+    N = 10**21
+    v0 = r2.tangent_point([1.0, 0.0], [0.0, 1.0])
+    calls = {
+        "build_transport_grid": lambda: build_transport_grid(shear_system, v0.base, 1.0, N),
+        "steer_lifted": lambda: steer_lifted(shear_system, v0, v0, 1.0, N=N),
+    }
+    message = rf"^horizon 1\.0 on {N} grid segments needs at least {2 * N} steps, budget is 1000000$"
+    with pytest.raises(StepBudgetError, match=message):
+        calls[call]()
 
 
 def test_steer_zero_defect_gives_zero_control(r2, shear_system):

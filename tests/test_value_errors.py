@@ -89,6 +89,12 @@ CASES = {
         ),
         "control has 2 channels, system expects 1",
     ),
+    "vertical-time": (
+        lambda: solve_vertical_closed_form(
+            VerticalAffineSystem(R2, X, [X]), R2.tangent_point([0.0, 0.0], [1.0, 0.0]), U, 1.5
+        ),
+        "time 1.5 outside [0, 1.0]",
+    ),
 }
 
 
