@@ -4,7 +4,8 @@ The grammar covers numeric literals, named variables, +, -, *, /, unary
 minus, parentheses, and sin, cos, exp (one argument) and pow (two).
 Parsing produces sympy expressions; derivatives, brackets, structural
 zeros and the constant rule are formed here, on a payload no other module
-reads.  Evaluation goes through lambdify, with one memoized printer per field.
+reads.  Evaluation goes through lambdify, with one memoized printer per
+field, which prints sums and products to sympy's own text itself.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from typing import Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.core.exprtools import decompose_power
 from sympy.ntheory.multinomial import multinomial_coefficients_iterator
 from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.precedence import PRECEDENCE, precedence
 
 from .errors import ExpressionError, NumericalError
 from .manifold import ChartManifold, VectorField
@@ -72,6 +75,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.index = 0
         self.depth = 0
+        self.fit = {}  # the nodes ``_unfit_constant`` has passed in this parse
 
     def peek(self):
         return self.tokens[self.index]
@@ -110,7 +114,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                node = _in_float_range(node + rhs if text == "+" else node - rhs, pos)
+                node = _in_float_range(node + rhs if text == "+" else node - rhs, pos, self.fit)
             else:
                 return node
 
@@ -121,7 +125,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.unary()
-                node = _in_float_range(node * rhs if text == "*" else _quotient(node, rhs, pos), pos)
+                node = _in_float_range(node * rhs if text == "*" else _quotient(node, rhs, pos), pos, self.fit)
             else:
                 return node
 
@@ -157,7 +161,8 @@ class _Parser:
                 fn, arity = _FUNCTIONS[text]
                 if len(args) != arity:
                     raise ExpressionError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
-                return _in_float_range(_power(args[0], args[1], pos) if text == "pow" else fn(args[0]), pos)
+                node = _power(args[0], args[1], pos) if text == "pow" else fn(args[0])
+                return _in_float_range(node, pos, self.fit)
             if text not in self.symbols:
                 known = ", ".join(sorted(self.symbols))
                 raise ExpressionError(f"unknown variable {text!r} (known: {known})", pos)
@@ -187,30 +192,38 @@ def _power(base, exponent, pos: int):
     return _defined(base**exponent, pos)
 
 
-def _in_float_range(node, pos: int):
-    """``node``, unless it is or holds a constant that ``_unfit_constant`` finds.
+def _in_float_range(node, pos: int, fit: dict | None = None):
+    """``node``, unless it is or holds a constant that ``_unfit_constant`` finds; ``fit`` as there.
 
     Sympy evaluates functions of constants, and ``sin`` of a constant as
     large as ``exp(exp(31.6))`` would not finish.  A constant such as
     ``pow(-2, 0.5)`` is complex, and compiled code cannot make it a float.
     """
-    unfit = _unfit_constant([node])
+    unfit = _unfit_constant([node], fit)
     if unfit:
         raise ExpressionError(_OUT_OF_RANGE if unfit == _TOO_LARGE else "result is not a real number", pos)
     return node
 
 
-def _unfit_constant(entries):
+def _unfit_constant(entries, fit: dict | None = None):
     """``_TOO_LARGE`` or ``_NOT_REAL`` for the first unfit constant a walk of ``entries`` meets, else None.
 
     The one constant rule of the parser and the compile gate: a constant
     is fit when its value, rounded to a float, is finite and real.  The
-    walk decides each topmost constant node whole.  A Rational rounds as
-    Python's ``p / q`` does; a Float is screened by its exponent and only
-    one past the screen is converted, and none is hashed (that converts
-    it); any other constant, such as ``exp(710)`` or ``(-1)**(1/3)``, is
-    evaluated to 17 digits.  An infinity or NaN is ``_defined``'s to
-    reject in the parser, and compiled code reports it as not finite.
+    walk, in preorder, decides each topmost constant node whole.  A
+    Rational rounds as Python's ``p / q`` does; a Float is screened by its
+    exponent and only one past the screen is converted, and none is
+    hashed (that converts it); any other constant, such as ``exp(710)`` or
+    ``(-1)**(1/3)``, is evaluated to 17 digits.  An infinity or NaN is
+    ``_defined``'s to reject in the parser, and compiled code reports it
+    as not finite.
+
+    ``fit`` holds, by ``id``, each node a walk has passed; the dict keeps
+    the node alive, so no id is reused.  A walk skips them, so the parser,
+    which keeps one ``fit`` for a whole parse and walks each node it forms,
+    walks at each operator only the nodes that operator formed.  A walk
+    that finds an unfit constant leaves ``fit`` holding nodes not yet
+    decided; the caller then raises and drops it.
 
     Sympy can form an unfit constant as it folds, simplifies or
     differentiates.  It writes ``x1*exp(700)*exp(10)`` as ``x1*exp(710)``,
@@ -218,21 +231,32 @@ def _unfit_constant(entries):
     Jacobian of pow(-2, x2) as log(2) + I*pi.  The Jacobian of
     N*x1*sin(N*x1) has N**2, and x1*1e200*1e200 the Float 1e400.
     """
+    fit = {} if fit is None else fit
     for entry in entries:
-        walk = sp.preorder_traversal(entry)
-        for node in walk:
-            if not node.is_number:
-                continue
-            walk.skip()
-            # A Float is man * 2**exp, below 2**(exp + bits of man).
-            if node.is_Float and sum(node._mpf_[2:]) < 1024 or node in _UNDEFINED:
-                continue
-            # sympy rounds p/q to the nearest float, and to inf where Python's p / q overflows.
-            value = float(node) if node.is_Rational or node.is_Float else complex(node.evalf(17))
-            if not cmath.isfinite(value):
-                return _TOO_LARGE
-            if value.imag:
-                return _NOT_REAL
+        unfit = _unfit_node(entry, fit) if id(entry) not in fit else None
+        if unfit:
+            return unfit
+    return None
+
+
+def _unfit_node(node, fit: dict):
+    """``_unfit_constant`` of one node that is not in ``fit``, which it and every node walked below it join."""
+    fit[id(node)] = node
+    if not node.is_number:
+        for arg in node.args:
+            unfit = _unfit_node(arg, fit) if id(arg) not in fit else None
+            if unfit:
+                return unfit
+        return None
+    # A Float is man * 2**exp, below 2**(exp + bits of man).
+    if node.is_Float and sum(node._mpf_[2:]) < 1024 or node in _UNDEFINED:
+        return None
+    # sympy rounds p/q to the nearest float, and to inf where Python's p / q overflows.
+    value = float(node) if node.is_Rational or node.is_Float else complex(node.evalf(17))
+    if not cmath.isfinite(value):
+        return _TOO_LARGE
+    if value.imag:
+        return _NOT_REAL
     return None
 
 
@@ -279,8 +303,184 @@ def field_from_expressions(
     return field_from_symbolic(manifold, column, args, name)
 
 
-def _printer() -> NumPyPrinter:
-    """The printer ``lambdify`` would build for ``modules="numpy"``, with ``_print`` memoized.
+def _sign(number):
+    """-1, 0 or 1 for a finite Rational or Float, read off ``.p`` or ``._mpf_``; None for any other number."""
+    if number.is_Rational:
+        return (number.p > 0) - (number.p < 0)
+    if number.is_Float:
+        negative, mantissa, exponent, _ = number._mpf_
+        # mpmath writes zero with mantissa and exponent 0, an infinity or NaN with mantissa 0 only.
+        if mantissa:
+            return -1 if negative else 1
+        return None if exponent else 0
+    return None
+
+
+# sympy's ``precedence`` of the grammar's nodes; a Number's and a Mul's follow from a sign.
+_PRECEDENCE = {
+    sp.Symbol: PRECEDENCE["Atom"],
+    sp.Add: PRECEDENCE["Add"],
+    sp.Pow: PRECEDENCE["Pow"],
+    **dict.fromkeys((sp.sin, sp.cos, sp.exp, sp.log), PRECEDENCE["Func"]),
+}
+
+
+def _precedence(node) -> int:
+    """``sympy.printing.precedence.precedence(node)``, without the ``-node`` and the sign queries it makes."""
+    kind = type(node)
+    if kind in _PRECEDENCE:
+        return _PRECEDENCE[kind]
+    if kind is sp.Mul:
+        # A Mul whose factors include a Function with its own precedence is sympy's case.
+        if not any(isinstance(arg, sp.Function) and hasattr(arg, "precedence") for arg in node.args):
+            first = node.args[0]
+            sign = _sign(first) if first.is_Number else 1
+            if sign is not None:
+                return PRECEDENCE["Add"] if sign < 0 else PRECEDENCE["Mul"]
+    elif isinstance(node, sp.Number):
+        sign = _sign(node)
+        if sign is not None:
+            return PRECEDENCE["Add"] if sign < 0 else PRECEDENCE["Atom" if node.is_Integer or node.is_Float else "Mul"]
+    return precedence(node)
+
+
+def _ordered_terms(add) -> list:
+    """``add.as_ordered_terms()``: sympy's order of a sum's terms for printing.
+
+    Its special case first: a number and a negative multiple of one factor
+    keep that order, as in ``1 - 2.5*x1``.  Otherwise ``Expr.as_terms``
+    splits each term into a complex coefficient and the integer powers of
+    its generators, and the terms sort by ``_parse_order``'s lex key: the
+    negated exponents over the generators in ``default_sort_key`` order,
+    then the coefficient.
+    """
+    if len(add.args) == 2:
+
+        def numbers_first(node):
+            return not isinstance(node, (sp.Number, sp.NumberSymbol))
+
+        lead, second = sorted(add.args, key=numbers_first)
+        if not numbers_first(lead) and isinstance(second, sp.Mul):
+            factors = sorted(second.args, key=numbers_first)
+            if len(factors) == 2 and isinstance(factors[0], sp.Number):
+                positive, negative = _sign(lead), _sign(factors[0])
+                positive = lead.is_positive if positive is None else positive > 0
+                negative = factors[0].is_negative if negative is None else negative < 0
+                if positive and negative:
+                    return [lead, second]
+    # A set, as sympy's: a sort key with a Float coefficient is not a total
+    # order (1 and 1.0 are neither equal nor one less), so the order sorted
+    # meets the generators in matters.
+    gens, split = set(), []
+    for term in add.args:
+        if term.is_Mul and term.args[0].is_Number:
+            number, factors = term.args[0], term.args[1:]
+        elif term.is_Number:
+            number, factors = term, ()
+        else:
+            number, factors = sp.S.One, term.args if term.is_Mul else (term,)
+        # complex(number), without its evalf for a Rational or Float.
+        coeff, powers = complex(float(number)) if _sign(number) is not None else complex(number), {}
+        for factor in factors:
+            if factor.is_number:
+                try:
+                    coeff *= complex(factor)
+                except (TypeError, ValueError):
+                    pass
+                else:
+                    continue
+            base, exponent = decompose_power(factor)
+            powers[base] = exponent
+            gens.add(base)
+        split.append((coeff, powers))
+    index = {gen: i for i, gen in enumerate(sorted(gens, key=sp.default_sort_key))}
+
+    def lex(position):
+        coeff, powers = split[position]
+        monomial = [0] * len(index)
+        for base, exponent in powers.items():
+            monomial[index[base]] = -exponent
+        return tuple(monomial), (), ((bool(coeff.imag), coeff.imag), (coeff.real, coeff.imag))
+
+    return [add.args[i] for i in sorted(range(len(split)), key=lex)]
+
+
+class _SourcePrinter(NumPyPrinter):
+    """``NumPyPrinter``, printing sums, products and parentheses to its text without building sympy objects.
+
+    Most of sympy's printing time goes to objects and assumption queries
+    formed only to decide a sign or an order: ``precedence`` of a Mul forms
+    ``-self``, ``_print_Mul`` forms the product without its negative
+    coefficient, and ``as_ordered_terms`` evaluates every coefficient.
+    Here a number's sign comes from its digits, precedence from
+    ``_precedence``, the positive product is an edit of the sorted factor
+    list and the order of a sum is ``_ordered_terms``.  The text is
+    ``NumPyPrinter``'s, string for string.  Every other node goes to
+    sympy's printer, and so do a sum with an ``order`` keyword and a
+    product whose coefficient is an infinity or NaN; sympy's
+    ``precedence`` decides any node outside ``_PRECEDENCE`` and a product
+    holding a Function with a precedence of its own.
+    """
+
+    def parenthesize(self, item, level, strict=False):
+        prec = _precedence(item)
+        if prec < level or (not strict and prec <= level):
+            return f"({self._print(item)})"
+        return self._print(item)
+
+    def _add(self, expr, order=None):
+        """``StrPrinter._print_Add``."""
+        if order is not None:
+            return super()._print_Add(expr, order)
+        prec = _precedence(expr)
+        parts = []
+        for term in _ordered_terms(expr):
+            text = self._print(term)
+            sign = "+"
+            if text.startswith("-"):
+                sign, text = "-", text[1:]
+            parts += [sign, f"({text})" if _precedence(term) < prec else text]
+        return ("" if parts[0] == "+" else "-") + " ".join(parts[1:])
+
+    def _mul(self, expr):
+        """``CodePrinter._print_Mul``, its ``_keep_coeff`` an edit of the ordered factors."""
+        first, *rest = expr.args
+        coefficient = _sign(first) if first.is_Number else 1
+        if coefficient is None:
+            return super()._print_Mul(expr)
+        prec = _precedence(expr)
+        sign, factors = "", expr.args
+        if coefficient < 0:
+            # The list sympy sorts, since its sort is not a total order (see _ordered_terms).
+            sign, factors = "-", rest if first is sp.S.NegativeOne else [-first, *rest]
+        factors = sorted(factors, key=sp.default_sort_key)
+        numerator, denominator = [], []
+        for item in factors:
+            if item.is_Pow and item.exp.is_Rational and item.exp.p < 0:
+                # sympy distributes x**-1 over a product, so CodePrinter's parentheses for a Mul base never apply.
+                power = item.base if item.exp is sp.S.NegativeOne else sp.Pow(item.base, -item.exp, evaluate=False)
+                denominator.append(power)
+            else:
+                numerator.append(item)
+        numerator = numerator or [sp.S.One]
+        if len(numerator) == 1 and sign:
+            # sympy's weight for Python's unary minus, between Mul and Pow.
+            num = [self.parenthesize(numerator[0], (PRECEDENCE["Pow"] + PRECEDENCE["Mul"]) / 2)]
+        else:
+            num = [self.parenthesize(x, prec) for x in numerator]
+        den = [self.parenthesize(x, prec) for x in denominator]
+        if not denominator:
+            return sign + "*".join(num)
+        if len(denominator) == 1:
+            return sign + "*".join(num) + "/" + den[0]
+        return sign + "*".join(num) + "/(" + "*".join(den) + ")"
+
+    # sympy's Printer finds a node's printer by the name ``_print_<class name>``.
+    _print_Add, _print_Mul = _add, _mul
+
+
+def _printer() -> _SourcePrinter:
+    """The printer ``lambdify`` would build for ``modules="numpy"``, as a ``_SourcePrinter`` with ``_print`` memoized.
 
     A field compiles its coefficients and later its kernel with one such
     printer, so each column entry and each repeated sub-tree is printed
@@ -288,7 +488,7 @@ def _printer() -> NumPyPrinter:
     is top-level, because sympy prints a top-level Float in full and a
     nested one stripped of trailing zeros.
     """
-    printer = NumPyPrinter(
+    printer = _SourcePrinter(
         {
             "fully_qualified_modules": False,
             "inline": True,
@@ -309,7 +509,7 @@ def _printer() -> NumPyPrinter:
     return printer
 
 
-def _compile(printer: NumPyPrinter, args, exprs: list, label: str):
+def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
     """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, as a caller of one sequence.
 
     The one gate of every compiled product.  It checks constants and

@@ -10,8 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+import sympy.printing.codeprinter
+import sympy.printing.str
 from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
+from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.precedence import PRECEDENCE_FUNCTIONS
+from sympy.printing.printer import Printer
 
 from tanlift import (
     ChartManifold,
@@ -273,6 +278,22 @@ def test_a_non_real_constant_sympy_forms_is_a_parse_error_or_a_numerical_error(r
         base_lie_bracket(X, Y)
 
 
+@pytest.mark.parametrize("factor", ["", "exp(1)*"], ids=["plain", "times-e"])
+def test_the_constant_walk_of_a_parse_visits_each_node_it_forms_once(monkeypatch, factor):
+    # A walk of each operator's whole result visits 4x as many nodes when
+    # the number of terms doubles; one of only the nodes an operator forms, 2x.
+    visits = []
+    walk = expressions._unfit_node
+    monkeypatch.setattr(expressions, "_unfit_node", lambda node, fit: visits.append(node) or walk(node, fit))
+
+    def visited(terms):
+        visits.clear()
+        parse_expression(" + ".join(f"{factor}sin({k}*x1)" for k in range(2, terms + 2)), chart_symbols(1))
+        return len(visits)
+
+    assert visited(200) <= 2.2 * visited(100)
+
+
 def test_the_compiled_caller_runs_power_free_entries_on_the_values_given_and_powers_on_numpy_scalars():
     x1, x2 = chart_symbols(2).values()
     power_free = expressions._compile(expressions._printer(), [x1, x2], [x1 * x2 - 1], "f")
@@ -475,6 +496,54 @@ def test_long_float_jacobian_compiles_to_plain_lambdify_source(r2):
     assert _compiles_as_plain_lambdify(build) == 2
 
 
+# Cases of each rule the source printer follows: the sum a number opens,
+# a Rational or negative coefficient, a product with a denominator of two
+# factors, two terms alike but for a NumberSymbol coefficient, a long Float
+# at the top and nested, and the Abs (no Add or Mul) sympy writes for
+# pow(pow(x1, 2), 0.5).
+@pytest.mark.parametrize(
+    "exprs",
+    [
+        ["1 - 2.5*x1", "x2"],
+        ["(1/2)*x1", "-x1/2"],
+        ["1/(x1*sin(x1))", "pow(x1, -1)"],
+        ["exp(1)*x1 + x1", "x1 + exp(1)*x1*x2"],
+        ["1.000000000000000000000", "1.000000000000000000000*x1 + sin(1.000000000000000000000*x2)"],
+        ["pow(pow(x1, 2), 0.5)", "x2"],
+    ],
+)
+def test_a_printing_case_compiles_to_plain_lambdify_source(r2, exprs):
+    def build():
+        _compile_kernels([field_from_expressions(r2, exprs, "X")])
+
+    assert _compiles_as_plain_lambdify(build) == 2
+
+
+def test_sums_whose_generators_sort_keys_do_not_compare_compile_to_plain_lambdify_source(r2):
+    # The sort keys of x2 + k.5 and 1.0*x2 + sin(k*x1) are neither equal nor
+    # one less (1 against 1.0), so the order of each sum's terms is the order
+    # in which sympy's set of generators yields them, which moves with the
+    # hash seed.  A printer that collects the generators otherwise printed 3
+    # to 8 of these twelve sums in another order under each of ten seeds.
+    def build():
+        exprs = [f"x1*(x2 + {k}.5) + x1*pow(1.0*x2 + sin({k}*x1), 2)" for k in range(1, 13)]
+        _compile_kernels([field_from_expressions(r2, [src, "x2"], "X") for src in exprs])
+
+    assert _compiles_as_plain_lambdify(build) == 24
+
+
+def test_a_bracket_holding_a_nan_compiles_to_plain_lambdify_source(r2):
+    # The Jacobian of pow(0, x1) holds log(0) = zoo, and 0*zoo in J_Y X is nan.
+    def build():
+        X = field_from_expressions(r2, ["0", "x2"], "X")
+        Y = field_from_expressions(r2, ["pow(0, x1)", "x1"], "Y")
+        B = base_lie_bracket(X, Y)
+        assert any(entry.has(sympy.nan) for entry in B.sym[0])
+        _compile_kernels([X, Y, B])
+
+    assert _compiles_as_plain_lambdify(build) == 6
+
+
 def _chart_and_two_fields():
     """A chart dimension, 2 or 3, and the coefficients of two fields over its variables."""
 
@@ -588,6 +657,25 @@ def test_a_field_and_its_bracket_compile_sympys_own_jacobian(case):
         assert inspect.getsource(kernel) == inspect.getsource(expected)
 
 
+@_SOURCE_IDENTITY
+@_with_examples
+@given(_chart_and_two_fields())
+def test_drawn_fields_and_their_brackets_to_depth_3_compile_to_plain_lambdify_source(case):
+    # [X, Y], [X, [X, Y]] and [X, [X, [X, Y]]] compile their columns; X, Y
+    # and [X, Y] their kernels too, as _compile_kernels does on R2.
+    def build():
+        X, operand, B = _field_and_bracket(case)
+        with np.errstate(all="ignore"):
+            for F in (X, operand, B):
+                with contextlib.suppress(ArithmeticError, NameError, NumericalError):
+                    F.kernel(np.linspace(0.3, 0.7, F.manifold.dim))
+        with contextlib.suppress(NumericalError):  # a constant beyond the float range or not real
+            for _ in range(2):
+                B = base_lie_bracket(X, B)
+
+    assert _compiles_as_plain_lambdify(build) >= 3
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_scenario_fields_and_brackets_compile_to_plain_lambdify_source(path):
     def build():
@@ -597,6 +685,56 @@ def test_scenario_fields_and_brackets_compile_to_plain_lambdify_source(path):
         _compile_kernels(fields + depth1 + depth2)
 
     assert _compiles_as_plain_lambdify(build) > 0
+
+
+def _sympys_sum_and_product_printing_raises(monkeypatch):
+    """Make the steps of sympy's own Add and Mul printers raise, where the printers look them up."""
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("a sum or product went to sympy's printer")
+
+    # StrPrinter._print_Add orders terms by Printer._as_ordered_terms, that
+    # is Expr.as_ordered_terms; CodePrinter._print_Mul forms the positive
+    # product by the _keep_coeff it imports from sympy.core.mul.  sympy's
+    # own sort_key of a sum calls Expr.as_ordered_terms; that is not printing.
+    monkeypatch.setattr(Printer, "_as_ordered_terms", fallback)
+    monkeypatch.setattr(sympy.printing.codeprinter, "_keep_coeff", fallback)
+    monkeypatch.setattr(sympy.printing.str, "_keep_coeff", fallback)
+    monkeypatch.setitem(PRECEDENCE_FUNCTIONS, "Mul", fallback)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_fields_kernels_and_brackets_print_without_sympys_sum_and_product_printers(path, monkeypatch):
+    compiled = []
+    compile_once = expressions._compile
+
+    def direct(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            _sympys_sum_and_product_printing_raises(patch)
+            compiled.append(compile_once(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(expressions, "_compile", direct)
+    fields = list(load_scenario(path).fields.values())
+    depth1 = [base_lie_bracket(A, B) for A in fields for B in fields if A is not B]
+    depth2 = [base_lie_bracket(A, B) for A in fields for B in depth1]
+    with np.errstate(all="ignore"):
+        for F in fields + depth1 + depth2:
+            with contextlib.suppress(ArithmeticError):
+                F.kernel(np.linspace(0.3, 0.7, F.manifold.dim))
+    # Each field and bracket compiles twice; a scenario may hold fiber dynamics too.
+    assert len(compiled) >= 2 * len(fields + depth1 + depth2)
+
+
+def test_the_sympy_printer_steps_made_to_raise_are_the_ones_its_printer_takes(monkeypatch):
+    # The check above would pass vacuously if sympy printed without them.
+    x1, x2 = chart_symbols(2).values()
+    _sympys_sum_and_product_printing_raises(monkeypatch)
+    plain = NumPyPrinter()
+    for expr in (x1 + x2, -2 * x1 * x2):
+        with pytest.raises(AssertionError, match="sympy's printer"):
+            plain.doprint(expr)
+    assert expressions._printer().doprint(x1 - 2 * x1 * x2) == "-2*x1*x2 + x1"
 
 
 def test_dropped_fields_release_their_generated_source(r2):
