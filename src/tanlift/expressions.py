@@ -4,16 +4,21 @@ The grammar covers numeric literals, named variables, +, -, *, /, unary
 minus, parentheses, and sin, cos, exp (one argument) and pow (two).
 Parsing produces sympy expressions; derivatives, brackets, structural
 zeros and the constant rule are formed here, on a payload no other module
-reads.  Evaluation goes through lambdify, with one memoized printer per
-field, which prints sums and products to sympy's own text itself.
+reads.  Each compiled function is built here, to the source text
+``lambdify(..., modules="numpy")`` would build, in one namespace shared by
+all; one memoized printer per field prints sums and products to sympy's
+own text itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
+import linecache
 import math
 import re
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -416,10 +421,11 @@ class _SourcePrinter(NumPyPrinter):
     ``_precedence``, the positive product is an edit of the sorted factor
     list and the order of a sum is ``_ordered_terms``.  The text is
     ``NumPyPrinter``'s, string for string.  Every other node goes to
-    sympy's printer, and so do a sum with an ``order`` keyword and a
-    product whose coefficient is an infinity or NaN; sympy's
-    ``precedence`` decides any node outside ``_PRECEDENCE`` and a product
-    holding a Function with a precedence of its own.
+    sympy's printer, and so do a sum with an ``order`` keyword, a product
+    whose coefficient is an infinity or NaN and a product not flattened,
+    with a Number or a Mul after its first factor; sympy's ``precedence``
+    decides any node outside ``_PRECEDENCE`` and a product holding a
+    Function with a precedence of its own.
     """
 
     def parenthesize(self, item, level, strict=False):
@@ -446,7 +452,9 @@ class _SourcePrinter(NumPyPrinter):
         """``CodePrinter._print_Mul``, its ``_keep_coeff`` an edit of the ordered factors."""
         first, *rest = expr.args
         coefficient = _sign(first) if first.is_Number else 1
-        if coefficient is None:
+        # sympy's _keep_coeff multiplies an unflattened product such as
+        # Mul(-1, 1.0, Mul(7.39, exp(x2))), which Mul._eval_power builds, out again.
+        if coefficient is None or any(arg.is_Number or arg.is_Mul for arg in rest):
             return super()._print_Mul(expr)
         prec = _precedence(expr)
         sign, factors = "", expr.args
@@ -509,8 +517,57 @@ def _printer() -> _SourcePrinter:
     return printer
 
 
+@functools.cache
+def _namespace() -> dict:
+    """The globals of ``sp.lambdify(..., modules="numpy")``, taken from it once and shared by every compiled function.
+
+    numpy's and numpy.linalg's names, sympy's translations such as ``Abs``
+    and ``Heaviside``, ``I``, ``builtins`` and ``range``: what the gate's
+    name check accepts.
+    """
+    return sp.lambdify([], [], modules="numpy").__globals__
+
+
+_SOURCE_FILES = itertools.count(1)
+
+
+def _function(printer: _SourcePrinter, args, exprs: list):
+    """The function ``sp.lambdify(args, exprs, modules="numpy", printer=printer)`` returns, its source text the same.
+
+    Each entry is printed at the top level, as ``CodePrinter.doprint``
+    prints it, and the list wrapped in parentheses if it spans lines, as
+    ``lambdify`` wraps it.  lambdify's other work is left out: renaming
+    Dummy arguments, lifting ``Subs``, unwrapping ``UnevaluatedExpr`` and
+    copying the namespace, since no tree of the grammar, its derivatives
+    or brackets holds one; a node like that prints under its sympy name,
+    which the gate's name check rejects.  A name the printer imports that
+    the namespace lacks is imported into a copy, as lambdify imports it.
+    The source is filed in ``linecache`` until the function is collected.
+    """
+    body = "[" + ", ".join(printer._print(expr) for expr in exprs) + "]"
+    if "\n" in body:
+        body = f"({body})"
+    source = f"def _lambdifygenerated({', '.join(str(x) for x in args)}):\n    return {body}\n"
+    namespace = _namespace()
+    imports = [
+        (module, name) for module, names in printer.module_imports.items() for name in names if name not in namespace
+    ]
+    if imports:
+        namespace = dict(namespace)
+        for module, name in imports:
+            exec(f"from {module} import {name}", {}, namespace)
+    filename = f"<tanlift-compiled-{next(_SOURCE_FILES)}>"
+    scope = {}
+    exec(compile(source, filename, "exec"), namespace, scope)
+    func = scope["_lambdifygenerated"]
+    # mtime None, or linecache.checkcache drops the entry.
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(func, linecache.cache.pop, filename, None)
+    return func
+
+
 def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
-    """``sp.lambdify(args, exprs, modules="numpy")`` printed by ``printer``, as a caller of one sequence.
+    """``_function(printer, args, exprs)``, checked, as a caller of one sequence.
 
     The one gate of every compiled product.  It checks constants and
     names: an entry with a constant beyond the float range or not real
@@ -522,14 +579,12 @@ def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
     otherwise numpy scalars, since on floats ``1/x`` raises
     ZeroDivisionError, a large ``x**2`` OverflowError, and ``(-1.0)**0.5``
     is complex.  A kernel's entries hold its Jacobian: x1*sin(x1*x2) has
-    x1**2 there.  No docstring is rendered.
+    x1**2 there.
     """
     unfit = _unfit_constant(exprs)
     if unfit:
         raise NumericalError(f"{label} has a constant {unfit}")
-    func = sp.lambdify(
-        args, exprs, modules="numpy", printer=printer, use_imps=False, docstring_limit=0
-    )
+    func = _function(printer, args, exprs)
     unknown = sorted(set(func.__code__.co_names) - func.__globals__.keys() - func.__builtins__.keys())
     if unknown:
         raise NumericalError(f"{label} has {', '.join(unknown)}, which numpy cannot evaluate")

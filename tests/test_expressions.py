@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import gc
 import inspect
 import linecache
@@ -354,13 +355,13 @@ def test_field_compiles_once_and_its_jacobian_on_first_use(monkeypatch, s2):
     X = field_from_expressions(s2, ["cos(x2)", "sin(x1)"], "X")
     Y = field_from_expressions(s2, ["x1*x2", "exp(x2)"], "Y")
     calls = []
-    lambdify = sympy.lambdify
+    build = expressions._function
 
-    def counting_lambdify(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return lambdify(*args, **kwargs)
+        return build(*args)
 
-    monkeypatch.setattr(sympy, "lambdify", counting_lambdify)
+    monkeypatch.setattr(expressions, "_function", counting)
     x = np.array([0.8, 0.3])
     B = base_lie_bracket(X, Y)
     B.at(x)
@@ -377,18 +378,18 @@ def _compiles_as_plain_lambdify(build) -> int:
     equal that of ``sympy.lambdify(args, exprs, modules="numpy")`` on the
     same arguments.  Returns how many functions were compiled.
     """
-    plain = sympy.lambdify
     compiled = []
+    assemble = expressions._function
 
-    def recording(args, exprs, **kwargs):
-        compiled.append((args, exprs, plain(args, exprs, **kwargs)))
+    def recording(printer, args, exprs):
+        compiled.append((args, exprs, assemble(printer, args, exprs)))
         return compiled[-1][2]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sympy, "lambdify", recording)
+        patch.setattr(expressions, "_function", recording)
         build()
     for args, exprs, func in compiled:
-        assert inspect.getsource(func) == inspect.getsource(plain(args, exprs, modules="numpy"))
+        assert inspect.getsource(func) == inspect.getsource(sympy.lambdify(args, exprs, modules="numpy"))
     return len(compiled)
 
 
@@ -499,8 +500,9 @@ def test_long_float_jacobian_compiles_to_plain_lambdify_source(r2):
 # Cases of each rule the source printer follows: the sum a number opens,
 # a Rational or negative coefficient, a product with a denominator of two
 # factors, two terms alike but for a NumberSymbol coefficient, a long Float
-# at the top and nested, and the Abs (no Add or Mul) sympy writes for
-# pow(pow(x1, 2), 0.5).
+# at the top and nested, the Abs (no Add or Mul) sympy writes for
+# pow(pow(x1, 2), 0.5), and the unflattened products Mul._eval_power
+# builds for a power 1.0 of a negative product.
 @pytest.mark.parametrize(
     "exprs",
     [
@@ -510,6 +512,7 @@ def test_long_float_jacobian_compiles_to_plain_lambdify_source(r2):
         ["exp(1)*x1 + x1", "x1 + exp(1)*x1*x2"],
         ["1.000000000000000000000", "1.000000000000000000000*x1 + sin(1.000000000000000000000*x2)"],
         ["pow(pow(x1, 2), 0.5)", "x2"],
+        ["pow(-exp(x2 + 2), 1.0)", "pow(-2*exp(x2)*x1, 1.0)"],
     ],
 )
 def test_a_printing_case_compiles_to_plain_lambdify_source(r2, exprs):
@@ -624,15 +627,15 @@ def test_a_bracket_column_is_sympys_own_matrix_product(case):
 
 def _compiled_kernel(F):
     """The function ``F.kernel`` compiles on its first call."""
-    plain = sympy.lambdify
     compiled = []
+    assemble = expressions._function
 
-    def recording(*args, **kwargs):
-        compiled.append(plain(*args, **kwargs))
+    def recording(*args):
+        compiled.append(assemble(*args))
         return compiled[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sympy, "lambdify", recording)
+        patch.setattr(expressions, "_function", recording)
         # Evaluating it may fail, e.g. on the DiracDelta numpy has no name for.
         with np.errstate(all="ignore"), contextlib.suppress(ArithmeticError, NameError):
             F.kernel(np.linspace(0.3, 0.7, F.manifold.dim))
@@ -676,15 +679,48 @@ def test_drawn_fields_and_their_brackets_to_depth_3_compile_to_plain_lambdify_so
     assert _compiles_as_plain_lambdify(build) >= 3
 
 
+def _compile_scenario(path):
+    """Load a scenario, with any fiber dynamics, and compile its fields, their brackets to depth 2 and every kernel."""
+    fields = list(load_scenario(path).fields.values())
+    depth1 = [base_lie_bracket(A, B) for A in fields for B in fields if A is not B]
+    depth2 = [base_lie_bracket(A, B) for A in fields for B in depth1]
+    _compile_kernels(fields + depth1 + depth2)
+
+
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_scenario_fields_and_brackets_compile_to_plain_lambdify_source(path):
-    def build():
-        fields = list(load_scenario(path).fields.values())
-        depth1 = [base_lie_bracket(A, B) for A in fields for B in fields if A is not B]
-        depth2 = [base_lie_bracket(A, B) for A in fields for B in depth1]
-        _compile_kernels(fields + depth1 + depth2)
+    assert _compiles_as_plain_lambdify(lambda: _compile_scenario(path)) > 0
 
-    assert _compiles_as_plain_lambdify(build) > 0
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_a_scenario_compiles_without_lambdify_into_one_namespace(path, monkeypatch):
+    # lambdify's own namespace, once: the name gate accepts and rejects what it would.
+    names = sympy.lambdify([], [], modules="numpy").__globals__.keys()
+    expressions._namespace()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy.lambdify was called")
+
+    compiled = []
+    assemble = expressions._function
+    monkeypatch.setattr(sympy, "lambdify", refuse)
+    monkeypatch.setattr(expressions, "_function", lambda *args: compiled.append(assemble(*args)) or compiled[-1])
+    _compile_scenario(path)
+    assert compiled
+    assert all(func.__globals__ is expressions._namespace() for func in compiled)
+    assert expressions._namespace().keys() == names
+
+
+def test_a_name_the_printer_imports_joins_a_copy_of_the_namespace():
+    # lambdify runs "from module import name" for each name the printer
+    # registers that its namespace lacks; the shared namespace stays as it is.
+    x1, x2 = chart_symbols(2).values()
+    printer = expressions._printer()
+    printer.module_imports["fractions"].add("Fraction")
+    func = expressions._function(printer, [x1, x2], [x1 * x2])
+    assert func.__globals__["Fraction"] is fractions.Fraction
+    assert func.__globals__.keys() - expressions._namespace().keys() == {"Fraction"}
+    assert func(2.0, 3.0) == [6.0]
 
 
 def _sympys_sum_and_product_printing_raises(monkeypatch):
