@@ -15,17 +15,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .expressions import scalar_function
-from .lifts import (
-    FunctionLift,
-    _bracket,
-    _value_and_stencil,
-    base_lie_bracket,
-    complete_lift,
-    directional_derivative,
-    function_lift_eval,
-    vertical_lift,
-)
-from .manifold import DEFAULT_DERIV_STEP, ChartManifold, VectorField, dprojection, sample_tangent_points
+from .lifts import _bracket, base_lie_bracket, complete_lift, lift_rows, matvec, vertical_lift
+from .manifold import DEFAULT_DERIV_STEP, ChartManifold, VectorField, central_differences, sample_tangent_points
 
 _DEFAULT_SAMPLES = 50
 
@@ -68,16 +59,9 @@ def _test_function(manifold: ChartManifold):
     return scalar_function(manifold.dim, " + ".join(terms))
 
 
-def _derived_function_lift(X: VectorField, kind: str, f, grad, hess) -> FunctionLift:
-    """Lift of the derivative function (X f), with its analytic gradient."""
-
-    def g(x):
-        return float(grad(x) @ X.at(x))
-
-    def g_grad(x):
-        return hess(x) @ X.at(x) + X.jacobian_at(x).T @ grad(x)
-
-    return FunctionLift(manifold=X.manifold, base_fn=g, kind=kind, gradient=g_grad)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, as ``a[k] @ b[k]`` rounds it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def run_identity_battery(
@@ -88,16 +72,27 @@ def run_identity_battery(
 ) -> list:
     """Check the lift identities over all ordered field pairs.
 
-    One pass over the sample points: at each point every field's vertical
-    and complete lift is evaluated and central-differenced once, and all
-    numeric brackets are formed from those (value, stencil) pairs.  The
-    bracket identities use every point, linearity the first 10, the
-    derivation and fiber-translation identities the first 20.
+    The sample points are the rows of one (B, 2n) array, and each check is
+    one array pass over them: every field's vertical and complete lift is
+    evaluated and central-differenced once over all rows (``lift_rows``
+    under the one stencil of ``central_differences``), and all numeric
+    brackets are formed from those (value, stencil) stacks.  Row k of
+    every pass is bit for bit what point k alone gives.  The bracket
+    identities use every point, linearity the first 10, the derivation and
+    fiber-translation identities the first 20.
 
     Returns one record per identity with the max residual, the
-    tolerance it is held to, and a pass flag.  A non-finite lift value
-    or residual raises ``NumericalError`` naming the field or identity
-    and the sample point.
+    tolerance it is held to, and a pass flag.  A failure raises what a
+    pass point by point raises first: points in order, and within a point
+    the lifts (a stencil point outside the chart is a ChartDomainError
+    with its coordinates, a non-finite lift value a NumericalError naming
+    the field), then each pair's brackets, the projection, the derivation
+    (whose points are also tested against the chart) and fiber checks, and
+    linearity; a non-finite residual is a NumericalError naming the
+    identity and the sample point.  Each pass runs only over the rows
+    before the first failure found so far, so a lazy kernel compile fails
+    as at point 0, and an exception a field's own code raises is raised
+    where its pass meets it.
     """
     if len(fields) < 2:
         raise ValueError("identity battery needs at least 2 fields")
@@ -113,52 +108,105 @@ def run_identity_battery(
         linear_combination(a, fields[i], b, fields[j]) for (i, j), (a, b) in zip(pairs, coefficients)
     ]
     combo_lifts = [(vertical_lift(C), complete_lift(C)) for C in combos]
-    f, grad, hess = _test_function(manifold)
-    fv = FunctionLift(manifold=manifold, base_fn=f, kind="vertical", gradient=grad)
-    fc = FunctionLift(manifold=manifold, base_fn=f, kind="complete", gradient=grad)
-    derived = [
-        [_derived_function_lift(X, kind, f, grad, hess) for kind in ("vertical", "complete")]
-        for X in fields
-    ]
+    f, grad, _ = _test_function(manifold)
+    gradient = grad.__self__  # the field whose value and Jacobian are the gradient and Hessian
     names = {key: name for key, name, _ in IDENTITIES}
     worst = dict.fromkeys(names, 0.0)
     h = DEFAULT_DERIV_STEP
+    rows = np.array([v.as_vector() for v in points])
+    limit, first = len(rows), None
 
-    def note(key, residual):
-        if not np.isfinite(residual):
-            raise NumericalError(f"identity {names[key]!r} is not finite at {where}")
-        worst[key] = max(worst[key], residual)
+    def fail(bad, error):
+        """Keep the first row of ``bad`` below ``limit`` as the earliest failure; ``error(k)`` is its exception."""
+        nonlocal limit, first
+        bad = bad[:limit]
+        if bad.any():
+            limit = int(np.argmax(bad))
+            first = error(limit)
+            if limit == 0:
+                raise first
+
+    def where(k):
+        return f"sample point {k}, (x, y) = {rows[k].tolist()}"
+
+    def note(key, residuals):
+        fail(~np.isfinite(residuals), lambda k: NumericalError(f"identity {names[key]!r} is not finite at {where(k)}"))
+        worst[key] = max(worst[key], residuals[:limit].max())
+
+    def outside(chart, tested):
+        """Fail at the first row with an evaluation point outside the chart, at its first such point."""
+        bad = ~np.array([chart.in_domain(P[:, :n]) for P in tested])
+        fail(bad.any(axis=0), lambda k: chart.domain_error(tested[np.argmax(bad[:, k])][k, :n].copy()))
+
+    def value_and_stencil(F):
+        """F's coefficients over the rows and their central differences, every point tested against F's chart."""
+        tested = []
+
+        def at(P):
+            tested.append(P)
+            inside = F.manifold.in_domain(P[:, :n])
+            if inside.all():
+                return lift_rows(F, P)
+            out = np.full(P.shape, np.nan)
+            out[inside] = lift_rows(F, P[inside])
+            return out
+
+        W = rows[:limit]
+        pair = at(W), central_differences(at, W)
+        outside(F.manifold, tested)
+        return pair
+
+    def head(pair):
+        return pair[0][:limit], pair[1][:limit]
+
+    def size(a):
+        return np.abs(a).max(axis=-1)
+
+    def directional(kind, direction):
+        """Central difference of the test function's vertical or complete lift along ``direction`` over the first rows."""
+        W = rows[: len(direction)]
+        tested = [W + h * direction, W - h * direction]
+        outside(manifold, tested)
+        if kind == "vertical":
+            plus, minus = (f(P[:, :n].T) for P in tested)
+        else:
+            plus, minus = (_dot(gradient.at_rows(P[:, :n]), P[:, n:]) for P in tested)
+        return (plus - minus) / (2.0 * h)
 
     with np.errstate(all="ignore"):
-        for k, v in enumerate(points):
-            w = v.as_vector()
-            where = f"sample point {k}, (x, y) = {w.tolist()}"
-            # (value, stencil) pairs of each field's vertical and complete lift.
-            vert = [_value_and_stencil(Xv, w) for Xv, _ in lifts]
-            comp = [_value_and_stencil(Xc, w) for _, Xc in lifts]
-            for X, (xv, _), (xc, _) in zip(fields, vert, comp):
-                if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(xc))):
-                    raise NumericalError(f"lifts of field {X.name!r} are not finite at {where}")
-            for (i, j), (Bv, Bc) in zip(pairs, exact):
-                note("vv", np.max(np.abs(_bracket(vert[i], vert[j]))))
-                note("cv", np.max(np.abs(_bracket(comp[i], vert[j]) - Bv.at(v))))
-                note("cc", np.max(np.abs(_bracket(comp[i], comp[j]) - Bc.at(v))))
-            for (xv, _), (xc, _) in zip(vert, comp):
-                note("projection", np.max(np.abs(dprojection(v, xc) - xv[n:])))
-            if k >= 20:
-                continue
-            for (Xv, Xc), (Xf_v, Xf_c), (xv, _) in zip(lifts, derived, vert):
-                note("derive_vv", abs(directional_derivative(fv, Xv, v)))
-                note("derive_cv", abs(directional_derivative(fv, Xc, v) - function_lift_eval(Xf_v, v)))
-                note("derive_cc", abs(directional_derivative(fc, Xc, v) - function_lift_eval(Xf_c, v)))
-                # Velocity of the fiber-translation curve (x, y + t X(x)) at t = 0.
-                fd = ((v.fiber + h * xv[n:]) - (v.fiber - h * xv[n:])) / (2 * h)
-                note("fiber", np.max(np.abs(np.concatenate([np.zeros(n), fd]) - xv)))
-            if k >= 10:
-                continue
-            for (i, j), (a, b), (Cv, Cc) in zip(pairs, coefficients, combo_lifts):
-                note("linear_v", np.max(np.abs(Cv.at(v) - (a * vert[i][0] + b * vert[j][0]))))
-                note("linear_c", np.max(np.abs(Cc.at(v) - (a * comp[i][0] + b * comp[j][0]))))
+        vert = [value_and_stencil(Xv) for Xv, _ in lifts]
+        comp = [value_and_stencil(Xc) for _, Xc in lifts]
+        for X, (xv, _), (xc, _) in zip(fields, vert, comp):
+            finite = np.isfinite(xv[:limit]).all(axis=1) & np.isfinite(xc[:limit]).all(axis=1)
+            fail(~finite, lambda k: NumericalError(f"lifts of field {X.name!r} are not finite at {where(k)}"))
+        for (i, j), (Bv, Bc) in zip(pairs, exact):
+            note("vv", size(_bracket(head(vert[i]), head(vert[j]))))
+            note("cv", size(_bracket(head(comp[i]), head(vert[j])) - lift_rows(Bv, rows[:limit])))
+            note("cc", size(_bracket(head(comp[i]), head(comp[j])) - lift_rows(Bc, rows[:limit])))
+        for (xv, _), (xc, _) in zip(vert, comp):
+            note("projection", size(xc[:limit, :n] - xv[:limit, n:]))
+        for X, (xv, _), (xc, _) in zip(fields, vert, comp):
+            # Each note keeps only the rows below ``limit``; a pass may run over a few more.
+            m = min(limit, 20)
+            x, y = rows[:m, :n], rows[:m, n:]
+            note("derive_vv", np.abs(directional("vertical", xv[:m])))
+            value = X.at_rows(x)
+            g = gradient.at_rows(x)
+            note("derive_cv", np.abs(directional("vertical", xc[:m]) - _dot(g, value)))
+            # The lifts at these points are finite, and with them X and its Jacobian.
+            hessian = gradient.value_and_jacobian_rows(x)[1]
+            jacobian = X.value_and_jacobian_rows(x)[1]
+            g_grad = matvec(hessian, value) + matvec(jacobian.transpose(0, 2, 1), g)
+            note("derive_cc", np.abs(directional("complete", xc[:m]) - _dot(g_grad, y)))
+            # Velocity of the fiber-translation curve (x, y + t X(x)) at t = 0.
+            fd = ((rows[:m, n:] + h * xv[:m, n:]) - (rows[:m, n:] - h * xv[:m, n:])) / (2 * h)
+            note("fiber", size(np.concatenate([np.zeros((m, n)), fd], axis=1) - xv[:m]))
+        for (i, j), (a, b), (Cv, Cc) in zip(pairs, coefficients, combo_lifts):
+            m = min(limit, 10)
+            note("linear_v", size(lift_rows(Cv, rows[:m]) - (a * vert[i][0][:m] + b * vert[j][0][:m])))
+            note("linear_c", size(lift_rows(Cc, rows[:m]) - (a * comp[i][0][:m] + b * comp[j][0][:m])))
+    if first is not None:
+        raise first
 
     return [
         {

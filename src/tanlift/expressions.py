@@ -566,7 +566,7 @@ def _function(printer: _SourcePrinter, args, exprs: list):
     return func
 
 
-def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
+def _compile(printer: _SourcePrinter, args, exprs: list, label: str, power_free=None):
     """``_function(printer, args, exprs)``, checked, as a caller of one sequence.
 
     The one gate of every compiled product.  It checks constants and
@@ -574,12 +574,12 @@ def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
     (``_unfit_constant``), or with a function the printer leaves under its
     sympy name, such as the ``DiracDelta`` of ``Abs``'s second derivative,
     is a NumericalError naming ``label``.  The caller it returns picks the
-    scalars the code runs on.  With no power in any entry it passes the
-    values as given, and Python floats are cheaper and round alike;
-    otherwise numpy scalars, since on floats ``1/x`` raises
-    ZeroDivisionError, a large ``x**2`` OverflowError, and ``(-1.0)**0.5``
-    is complex.  A kernel's entries hold its Jacobian: x1*sin(x1*x2) has
-    x1**2 there.
+    scalars the code runs on.  With no power in any entry (``power_free``,
+    the caller's walk, or this one's if None), it passes the values as given, and Python
+    floats are cheaper and round alike; otherwise numpy scalars, since on
+    floats ``1/x`` raises ZeroDivisionError, a large ``x**2``
+    OverflowError, and ``(-1.0)**0.5`` is complex.  A kernel's entries hold
+    its Jacobian: x1*sin(x1*x2) has x1**2 there.
     """
     unfit = _unfit_constant(exprs)
     if unfit:
@@ -588,7 +588,9 @@ def _compile(printer: _SourcePrinter, args, exprs: list, label: str):
     unknown = sorted(set(func.__code__.co_names) - func.__globals__.keys() - func.__builtins__.keys())
     if unknown:
         raise NumericalError(f"{label} has {', '.join(unknown)}, which numpy cannot evaluate")
-    if _power_free(exprs):
+    if power_free is None:
+        power_free = _power_free(exprs)
+    if power_free:
         return lambda values: func(*values)
     return lambda values: func(*np.array(values, dtype=float))
 
@@ -681,18 +683,26 @@ def field_from_symbolic(manifold: ChartManifold, column: Sequence, args, name: s
     cached function, to every bracket that takes the field as an operand;
     its rows are tuples of ``_derivative``, sympy's ``Matrix.jacobian`` trees.
     Only a field without powers is ``vectorized``: numpy rounds ``x**k``
-    on arrays differently from ``x**k`` on one number.
+    on arrays differently from ``x**k`` on one number.  Its kernel takes
+    coordinate columns only if its Jacobian has no power either, and says
+    None otherwise.  Each column entry and each Jacobian entry is walked
+    for powers once.
     """
     n = manifold.dim
-    printer, f_kernel = _printer(), None
+    printer, f_kernel, kernel_free = _printer(), None, False
     jacobian = functools.cache(lambda: tuple(tuple(_derivative(entry, x) for x in args) for entry in column))
-    func = _compile(printer, args, list(column), f"field {name!r}")
+    column_free = _power_free(column)
+    func = _compile(printer, args, list(column), f"field {name!r}", column_free)
 
     def kernel(x):
-        nonlocal printer, f_kernel
+        nonlocal printer, f_kernel, kernel_free
         if f_kernel is None:
-            entries = [*column, *(entry for row in jacobian() for entry in row)]
-            f_kernel, printer = _compile(printer, args, entries, f"Jacobian of field {name!r}"), None
+            derivatives = [entry for row in jacobian() for entry in row]
+            kernel_free = column_free and _power_free(derivatives)
+            label = f"Jacobian of field {name!r}"
+            f_kernel, printer = _compile(printer, args, [*column, *derivatives], label, kernel_free), None
+        if np.ndim(x) == 2 and not kernel_free:
+            return None
         return f_kernel(x)
 
     def jac(x):
@@ -705,7 +715,7 @@ def field_from_symbolic(manifold: ChartManifold, column: Sequence, args, name: s
         name=name,
         sym=(column, tuple(args), jacobian),
         kernel=kernel,
-        vectorized=_power_free(column),
+        vectorized=column_free,
     )
 
 

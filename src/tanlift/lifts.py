@@ -126,11 +126,11 @@ def lie_bracket(
 
     ``method="numeric"`` always uses finite-difference Jacobians on the
     2n-dimensional induced coordinates; the identity battery forms the
-    same bracket from its per-point stencils of each lift.  ``"auto"`` takes the exact closed form when both
-    operands are recognized lifts with known sources:
-    vertical/vertical brackets vanish, complete/vertical gives the
-    vertical lift of the base bracket, complete/complete the complete
-    lift of it.
+    same bracket, row by row, from its stencils of each lift over all
+    points.  ``"auto"`` takes the exact closed form when both operands are
+    recognized lifts with known sources: vertical/vertical brackets
+    vanish, complete/vertical gives the vertical lift of the base bracket,
+    complete/complete the complete lift of it.
     """
     if method not in ("auto", "numeric"):
         raise ValueError(f"unknown bracket method {method!r}")
@@ -153,10 +153,38 @@ def _value_and_stencil(F: LiftedVectorField, w: np.ndarray) -> tuple:
     return F.at(w), central_differences(F.at, w)
 
 
+def lift_rows(F: LiftedVectorField, W: np.ndarray) -> np.ndarray:
+    """A vertical or complete lift's coefficients at each row of a (B, 2n) array whose base rows are checked.
+
+    Row k is ``F.at(W[k])`` bit for bit: the source field's row paths,
+    ``VectorField.at_rows`` and ``value_and_jacobian_rows``, give its
+    values and Jacobians, and J y is one stacked product.
+    """
+    X, n = F.source, F.manifold.dim
+    if F.kind == VERTICAL_LIFT:
+        return np.concatenate([np.zeros((len(W), n)), X.at_rows(W[:, :n])], axis=1)
+    if F.kind == COMPLETE_LIFT:
+        values, jacobians = X.value_and_jacobian_rows(W[:, :n])
+        return np.concatenate([values, matvec(jacobians, W[:, n:])], axis=1)
+    raise ValueError(f"{F.name} is not a vertical or complete lift")
+
+
+def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for one matrix and vector, or row by row for stacks of them along leading axes.
+
+    Each row's product is a stacked ``np.matmul`` of the same BLAS call as
+    ``A[k] @ v[k]``, so it rounds alike; ``np.einsum`` does not.
+    """
+    return np.matmul(A, v[..., None])[..., 0]
+
+
 def _bracket(a: tuple, b: tuple) -> np.ndarray:
-    """Numeric bracket [A, B] = DB a - DA b from the (value, Jacobian or stencil) pairs of A and B."""
+    """Numeric bracket [A, B] = DB a - DA b from the (value, Jacobian or stencil) pairs of A and B.
+
+    The pairs may be stacks along a leading row axis; row k is then the bracket of row k.
+    """
     (a_value, a_stencil), (b_value, b_stencil) = a, b
-    return b_stencil @ a_value - a_stencil @ b_value
+    return matvec(b_stencil, a_value) - matvec(a_stencil, b_value)
 
 
 def is_vertical(F: LiftedVectorField, samples: Iterable[TangentPoint], tol: float = 1e-12) -> bool:

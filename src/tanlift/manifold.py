@@ -82,11 +82,11 @@ class ChartManifold:
         """
         for c, (lo, hi) in zip(values, self._box):
             if not lo < c < hi:
-                coords = np.array(values, dtype=float) if coords is None else coords
-                raise ChartDomainError(
-                    f"coordinates {coords.tolist()} outside the domain of chart '{self.name}'",
-                    coords=coords,
-                )
+                raise self.domain_error(np.array(values, dtype=float) if coords is None else coords)
+
+    def domain_error(self, coords: np.ndarray) -> ChartDomainError:
+        """The ChartDomainError of coordinates outside the box, carrying them."""
+        return ChartDomainError(f"coordinates {coords.tolist()} outside the domain of chart '{self.name}'", coords=coords)
 
     def check(self, coords) -> np.ndarray:
         """A raw coordinate vector as a float64 array of shape (dim,), itself if it is one, after ``check_floats``."""
@@ -171,7 +171,9 @@ class VectorField:
     any field, as Python floats.  ``vectorized`` says that ``func`` also takes an
     (n, B) array of coordinate columns and returns one entry per
     coefficient, an array of B values or a constant, each equal to what
-    the B single-point calls give.
+    the B single-point calls give.  A kernel given such columns returns
+    its entries in the same way, or None if it has a power and must go
+    row by row.
     """
 
     manifold: ChartManifold
@@ -241,10 +243,31 @@ class VectorField:
         """
         if not self.vectorized:
             return np.array([self.value(x) for x in rows]).reshape(rows.shape)
-        out = np.empty(rows.shape)
-        for i, column in enumerate(self.func(rows.T)):
-            out[:, i] = column
-        return out
+        return _stack_columns(self.func(rows.T), rows.shape)
+
+    def value_and_jacobian_rows(self, rows: np.ndarray) -> tuple:
+        """``value_and_jacobian`` at each row of a (B, n) array of already-checked coordinates.
+
+        Returns the (B, n) coefficients and the (B, n, n) Jacobians, under
+        ``at_rows``'s rule: a kernel that takes coordinate columns evaluates
+        all rows in one call; any other field goes row by row.
+        """
+        n = self.manifold.dim
+        shape = (len(rows), n + n * n)
+        entries = None if self.kernel is None else self.kernel(rows.T)
+        if entries is None:
+            flat = np.array([self.flat_value_and_jacobian(x) for x in rows.tolist()]).reshape(shape)
+        else:
+            flat = _stack_columns(entries, shape)
+        return flat[:, :n], flat[:, n:].reshape(-1, n, n)
+
+
+def _stack_columns(entries, shape: tuple) -> np.ndarray:
+    """A (B, k) array whose column i is entry i, an array of B values or a constant."""
+    out = np.empty(shape)
+    for i, column in enumerate(entries):
+        out[:, i] = column
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,16 +320,18 @@ def central_differences(f: Callable[[np.ndarray], object], x, h: float = DEFAULT
     """Central differences of f at x, one column per coordinate.
 
     Column j is (f(x + h e_j) - f(x - h e_j)) / (2 h): a scalar f gives
-    its gradient, a vector-valued f its Jacobian.  The columns are
-    stacked into a C-contiguous array, not a transposed view, because
-    BLAS rounds ``@`` differently on one.
+    its gradient, a vector-valued f its Jacobian.  An x with leading batch
+    axes, such as a (B, m) array of rows, is differenced in one pass: f
+    then maps the rows, and row k of the result is the stencil at row k.
+    The columns are stacked into a C-contiguous array, not a transposed
+    view, because BLAS rounds ``@`` differently on one.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     x = np.asarray(x, dtype=float)
     columns = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
+    for j in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
         e[j] = h
         columns.append((f(x + e) - f(x - e)) / (2.0 * h))
     return np.stack(columns, axis=-1)

@@ -1,25 +1,17 @@
 """The identity battery against a per-pair reference, and its work counts."""
 
-import io
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from tanlift import ChartManifold, builtin_manifold, field_from_callable, field_from_expressions, load_scenario
-from tanlift import lifts, manifold
-from tanlift.battery import (
-    IDENTITIES,
-    _derived_function_lift,
-    _test_function,
-    linear_combination,
-    run_identity_battery,
-)
-from tanlift.cli import main
+from tanlift import ChartDomainError, NumericalError, battery, expressions, manifold
+from tanlift.battery import IDENTITIES, _test_function, linear_combination, run_identity_battery
 from tanlift.lifts import (
     FunctionLift,
-    LiftedVectorField,
     base_lie_bracket,
     complete_lift,
     directional_derivative,
@@ -30,6 +22,18 @@ from tanlift.lifts import (
 from tanlift.manifold import central_differences, dprojection, numeric_gradient, sample_tangent_points
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _derived_function_lift(X, kind, f, grad, hess):
+    """Lift of the derivative function (X f), with its analytic gradient."""
+
+    def g(x):
+        return float(grad(x) @ X.at(x))
+
+    def g_grad(x):
+        return hess(x) @ X.at(x) + X.jacobian_at(x).T @ grad(x)
+
+    return FunctionLift(manifold=X.manifold, base_fn=g, kind=kind, gradient=g_grad)
 
 
 def per_pair_battery(m, fields, samples, seed):
@@ -147,28 +151,172 @@ def test_battery_passes_for_fields_that_depend_on_x3():
     assert records == per_pair_battery(m3, fields, 20, 5)
 
 
-def test_lift_check_makes_one_stencil_per_lift_per_sample_point(monkeypatch):
-    # s2_vertical: 3 fields x 2 lifts x 50 points = 300 stencils, each of
-    # 1 + 4n = 9 lift evaluations; the exact brackets, linearity and
-    # derivation checks add 660 more.
-    stencils = []
-    evaluations = []
-    differences = manifold.central_differences
-    at = LiftedVectorField.at
+def test_lift_check_work_does_not_grow_with_the_sample_count(monkeypatch):
+    # Each check is one array pass over all sample points: on s2_vertical the
+    # battery makes as many field evaluations, row passes and stencils at 50
+    # samples as at 10.
+    scenario = load_scenario(str(SCENARIOS / "s2_vertical.json"))
+    fields = [scenario.fields[f] for f in scenario.lift_check_fields]
+    calls = []
 
-    def counting_differences(f, x, h=manifold.DEFAULT_DERIV_STEP):
-        stencils.append(1)
-        return differences(f, x, h)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    def counting_at(self, v):
-        evaluations.append(1)
-        return at(self, v)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(lifts, "central_differences", counting_differences)
-    monkeypatch.setattr(manifold, "central_differences", counting_differences)
-    monkeypatch.setattr(LiftedVectorField, "at", counting_at)
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(["lift-check", "--scenario", str(SCENARIOS / "s2_vertical.json")])
-    assert code == 0
-    assert len(stencils) == 300
-    assert len(evaluations) <= 3960
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("value", "flat_value_and_jacobian", "at_rows", "value_and_jacobian_rows"):
+        counting(manifold.VectorField, name)
+    counting(battery, "central_differences")
+    counts = []
+    for samples in (10, 50):
+        calls.clear()
+        run_identity_battery(scenario.manifold, fields, samples, 42)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0].count("central_differences") == 2 * len(fields)
+
+
+R2_STRIP = {"bounds": ([0.0, -np.inf], [1.0, np.inf])}
+SEED7_POINT0 = "sample point 0, (x, y) = [0.5003818664186679, 1.588855203878302, 0.551371380490387, -0.5495856200188163]"
+
+
+@pytest.mark.parametrize(
+    "chart, exprs, samples, seed, error, message",
+    [
+        # Not finite at point 0: raised before the DiracDelta of [X,Y]'s Jacobian, which fires at point 0's cc check.
+        (
+            None,
+            {"X": ["pow(0.4 - x1, 0.5)", "1"], "Y": ["x2", "pow(pow(x1, 2), 0.5)"]},
+            10,
+            7,
+            NumericalError,
+            f"lifts of field 'X' are not finite at {SEED7_POINT0}",
+        ),
+        # Not finite at later points only: the DiracDelta of point 0 comes first.
+        (
+            None,
+            {"X": ["pow(1.9 - x1, 0.5)", "1"], "Y": ["x2", "pow(pow(x1, 2), 0.5)"]},
+            50,
+            3,
+            NumericalError,
+            "Jacobian of field '[X,Y]' has DiracDelta, which numpy cannot evaluate",
+        ),
+        # The sample box lies within 1e-6 of the lower bound: the x1 - h stencil point leaves the chart.
+        (
+            ([2e-7, -1.0], [8e-7, 1.0]),
+            {"A": ["sin(x2)", "cos(x1)"], "B": ["x2", "1"]},
+            10,
+            5,
+            ChartDomainError,
+            "coordinates [-9.316998245752773e-06, 0.6158815794729875] outside the domain of chart 'strip'",
+        ),
+        # Only some stencils leave the chart; the first point that does names the coordinates.
+        (
+            ([2e-6, -1.0], [2e-5, 1.0]),
+            {"A": ["sin(x2)", "cos(x1)"], "B": ["x2", "1"]},
+            30,
+            5,
+            ChartDomainError,
+            "coordinates [-7.029247357130186e-06, -0.23326223842896354] outside the domain of chart 'strip'",
+        ),
+        # Stencils stay inside, but the derivation point x - h A(x) leaves the chart.
+        (
+            ([1e-3, -1.0], [2e-3, 1.0]),
+            {"A": ["200", "cos(x1)"], "B": ["x2", "1"]},
+            30,
+            5,
+            ChartDomainError,
+            "coordinates [-0.00019499707625461995, 0.6158715794892776] outside the domain of chart 'strip'",
+        ),
+        # The bracket exp(480*x1) overflows at sample point 6 only among the first points.
+        (
+            None,
+            {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"]},
+            10,
+            3,
+            NumericalError,
+            "identity 'complete-vertical bracket is lifted base bracket' is not finite at sample point 6, "
+            "(x, y) = [1.5668442817806287, 0.34065175956363225, -0.057380669636337256, 0.5465540192976328]",
+        ),
+    ],
+    ids=["non-finite-at-0-before-dirac", "dirac-before-later-non-finite", "stencil-leaves-at-once",
+         "stencil-leaves-later", "derivation-leaves", "bracket-overflows"],
+)
+def test_battery_raises_what_a_pass_point_by_point_raises_first(chart, exprs, samples, seed, error, message):
+    # Texts recorded from the point-by-point battery this one replaced.
+    if chart is None:
+        m = builtin_manifold("R2")
+    else:
+        m = ChartManifold(dim=2, name="strip", sample_bounds=chart, **R2_STRIP)
+    fields = [field_from_expressions(m, column, name) for name, column in exprs.items()]
+    with pytest.raises(error) as caught:
+        run_identity_battery(m, fields, samples, seed)
+    assert str(caught.value) == message
+
+
+def test_a_derivation_point_outside_the_chart_keeps_its_coordinates_for_a_callable_field():
+    m = ChartManifold(dim=2, name="strip", sample_bounds=([1e-3, -1.0], [2e-3, 1.0]), **R2_STRIP)
+    A = field_from_callable(m, lambda x: np.array([200.0, np.cos(x[0])]), name="A")
+    with pytest.raises(ChartDomainError) as caught:
+        run_identity_battery(m, [A, field_from_expressions(m, ["x2", "1"], "B")], 30, 5)
+    assert caught.value.coords.tolist() == [-0.00019499707625461995, 0.6158715794892776]
+
+
+_trig = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).map(lambda c: f"{c[0]!r} + {c[1]!r}*sin(x1) + {c[2]!r}*cos(x2)")
+_power = st.tuples(st.floats(-1.0, 1.0, allow_nan=False), st.integers(2, 3)).map(lambda c: f"{c[0]!r}*pow(x1, {c[1]}) + x2")
+
+
+def _callable(m, with_jac, scale):
+    func = lambda x: np.array([np.sin(scale * x[1]), 1.0 + scale * x[0] * x[1]])  # noqa: E731
+    jac = (lambda x: np.array([[0.0, scale * np.cos(scale * x[1])], [scale * x[1], scale * x[0]]])) if with_jac else None
+    return field_from_callable(m, func, jac, name="H")
+
+
+@settings(deadline=None, max_examples=12, derandomize=True, phases=(Phase.explicit, Phase.generate))
+@given(
+    st.sampled_from(["R2", "S2-spherical"]),
+    st.lists(st.sampled_from(["trig", "power", "callable", "callable-jac"]), min_size=2, max_size=3),
+    st.lists(_trig, min_size=6, max_size=6),
+    st.lists(_power, min_size=6, max_size=6),
+    st.integers(1, 50),
+    st.integers(0, 2**16),
+)
+def test_battery_equals_the_per_point_oracle_on_drawn_fields(chart, kinds, trig, power, samples, seed):
+    m = builtin_manifold(chart)
+    fields = []
+    for k, kind in enumerate(kinds):
+        if kind == "trig":
+            fields.append(field_from_expressions(m, trig[2 * k : 2 * k + 2], f"T{k}"))
+        elif kind == "power":
+            fields.append(field_from_expressions(m, power[2 * k : 2 * k + 2], f"P{k}"))
+        else:
+            fields.append(_callable(m, kind == "callable-jac", 0.5 + k))
+    assert run_identity_battery(m, fields, samples, seed) == per_pair_battery(m, fields, samples, seed)
+
+
+def test_each_column_and_jacobian_entry_is_walked_for_powers_once(monkeypatch):
+    walked = []
+    power_free = expressions._power_free
+
+    def counting(exprs):
+        exprs = list(exprs)
+        walked.extend(exprs)
+        return power_free(exprs)
+
+    monkeypatch.setattr(expressions, "_power_free", counting)
+    m = builtin_manifold("R2")
+    X = field_from_expressions(m, ["x1*sin(x1*x2)", "cos(x2) + 0.5"], "X")
+    X.jacobian_at(np.array([0.3, -0.7]))
+    assert len(walked) == len(set(walked)) == 2 + 4
+    # The column has no power, but its Jacobian has x1**2: values take columns, the kernel does not.
+    assert X.vectorized
+    rows = np.array([[0.3, -0.7], [1.1, 0.4]])
+    assert X.kernel(rows.T) is None
+    values, jacobians = X.value_and_jacobian_rows(rows)
+    for k, x in enumerate(rows):
+        value, jac = X.value_and_jacobian(x.tolist())
+        assert np.array_equal(values[k], value) and np.array_equal(jacobians[k], jac)
