@@ -701,7 +701,7 @@ def field_from_symbolic(manifold: ChartManifold, column: Sequence, args, name: s
             kernel_free = column_free and _power_free(derivatives)
             label = f"Jacobian of field {name!r}"
             f_kernel, printer = _compile(printer, args, [*column, *derivatives], label, kernel_free), None
-        if np.ndim(x) == 2 and not kernel_free:
+        if not kernel_free and isinstance(x, np.ndarray) and x.ndim == 2:
             return None
         return f_kernel(x)
 
