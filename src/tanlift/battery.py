@@ -50,18 +50,13 @@ def linear_combination(a: float, X: VectorField, b: float, Y: VectorField) -> Ve
 
 
 def _test_function(manifold: ChartManifold):
-    """A fixed scalar function with its gradient and Hessian, both derived symbolically.
+    """A fixed scalar function and its gradient field, derived symbolically; the field's Jacobian is the Hessian.
 
     On a 2-D chart it is sin(x1) x2 + cos(x2).  Each further coordinate
     x_k adds the term sin(x_k) x_(k-1), so that every coordinate enters.
     """
     terms = ["sin(x1)*x2 + cos(x2)", *(f"sin(x{k})*x{k - 1}" for k in range(3, manifold.dim + 1))]
     return scalar_function(manifold.dim, " + ".join(terms))
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b, as ``a[k] @ b[k]`` rounds it."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def run_identity_battery(
@@ -89,10 +84,11 @@ def run_identity_battery(
     the field), then each pair's brackets, the projection, the derivation
     (whose points are also tested against the chart) and fiber checks, and
     linearity; a non-finite residual is a NumericalError naming the
-    identity and the sample point.  Each pass runs only over the rows
-    before the first failure found so far, so a lazy kernel compile fails
-    as at point 0, and an exception a field's own code raises is raised
-    where its pass meets it.
+    identity and the sample point.  Each failure is kept with its row, and
+    each pass runs only over the rows before the first failure found so
+    far.  An exception a field's own code raises is kept at the first row
+    where it raises, so a lazy kernel compile error is raised where point
+    0 meets it.
     """
     if len(fields) < 2:
         raise ValueError("identity battery needs at least 2 fields")
@@ -108,10 +104,11 @@ def run_identity_battery(
         linear_combination(a, fields[i], b, fields[j]) for (i, j), (a, b) in zip(pairs, coefficients)
     ]
     combo_lifts = [(vertical_lift(C), complete_lift(C)) for C in combos]
-    f, grad, _ = _test_function(manifold)
-    gradient = grad.__self__  # the field whose value and Jacobian are the gradient and Hessian
+    f, gradient = _test_function(manifold)
     names = {key: name for key, name, _ in IDENTITIES}
     worst = dict.fromkeys(names, 0.0)
+    if not points:
+        return _records(worst)
     h = DEFAULT_DERIV_STEP
     rows = np.array([v.as_vector() for v in points])
     limit, first = len(rows), None
@@ -133,28 +130,49 @@ def run_identity_battery(
         fail(~np.isfinite(residuals), lambda k: NumericalError(f"identity {names[key]!r} is not finite at {where(k)}"))
         worst[key] = max(worst[key], residuals[:limit].max())
 
-    def outside(chart, tested):
-        """Fail at the first row with an evaluation point outside the chart, at its first such point."""
-        bad = ~np.array([chart.in_domain(P[:, :n]) for P in tested])
-        fail(bad.any(axis=0), lambda k: chart.domain_error(tested[np.argmax(bad[:, k])][k, :n].copy()))
+    def test(chart, P):
+        """Fail at the first row of P whose base point is outside the chart, with its coordinates."""
+        fail(~chart.in_domain(P[:limit, :n]), lambda k: chart.domain_error(P[k, :n].copy()))
+
+    def run(evaluate, W):
+        """``evaluate`` over the rows of W below ``limit``, NaN past them.
+
+        Row k of a pass is what row k alone gives, so where ``evaluate``
+        raises, the first row whose prefix of W raises (found by halving)
+        fails with what it raised, and the rows before it are evaluated.
+        """
+        try:
+            values = evaluate(W[:limit])
+        except Exception as raised:
+            # evaluate(W[:good]) runs and evaluate(W[:bad]) raises ``error``, until row ``good`` is the first to raise.
+            good, bad, error = 0, limit, raised
+            while bad - good > 1:
+                middle = (good + bad) // 2
+                try:
+                    evaluate(W[:middle])
+                    good = middle
+                except Exception as raised:
+                    bad, error = middle, raised
+            fail(np.arange(bad) == good, lambda k: error)
+            values = evaluate(W[:limit])
+        if len(values) == len(W):
+            return values
+        out = np.full((len(W), *values.shape[1:]), np.nan)
+        out[: len(values)] = values
+        return out
+
+    def lifted(F, W):
+        return run(lambda P: lift_rows(F, P), W)
 
     def value_and_stencil(F):
-        """F's coefficients over the rows and their central differences, every point tested against F's chart."""
-        tested = []
+        """F's coefficients over the rows and their central differences; each point is tested against F's chart."""
 
         def at(P):
-            tested.append(P)
-            inside = F.manifold.in_domain(P[:, :n])
-            if inside.all():
-                return lift_rows(F, P)
-            out = np.full(P.shape, np.nan)
-            out[inside] = lift_rows(F, P[inside])
-            return out
+            test(F.manifold, P)
+            return lifted(F, P)
 
         W = rows[:limit]
-        pair = at(W), central_differences(at, W)
-        outside(F.manifold, tested)
-        return pair
+        return at(W), central_differences(at, W)
 
     def head(pair):
         return pair[0][:limit], pair[1][:limit]
@@ -162,15 +180,20 @@ def run_identity_battery(
     def size(a):
         return np.abs(a).max(axis=-1)
 
+    def dot(a, b):
+        """Row k is ``a[k] @ b[k]``, rounded alike."""
+        return matvec(a[:, None, :], b)[:, 0]
+
     def directional(kind, direction):
         """Central difference of the test function's vertical or complete lift along ``direction`` over the first rows."""
         W = rows[: len(direction)]
-        tested = [W + h * direction, W - h * direction]
-        outside(manifold, tested)
+        shifted = [W + h * direction, W - h * direction]
+        for P in shifted:
+            test(manifold, P)
         if kind == "vertical":
-            plus, minus = (f(P[:, :n].T) for P in tested)
+            plus, minus = (f(P[:, :n].T) for P in shifted)
         else:
-            plus, minus = (_dot(gradient.at_rows(P[:, :n]), P[:, n:]) for P in tested)
+            plus, minus = (dot(gradient.at_rows(P[:, :n]), P[:, n:]) for P in shifted)
         return (plus - minus) / (2.0 * h)
 
     with np.errstate(all="ignore"):
@@ -181,8 +204,8 @@ def run_identity_battery(
             fail(~finite, lambda k: NumericalError(f"lifts of field {X.name!r} are not finite at {where(k)}"))
         for (i, j), (Bv, Bc) in zip(pairs, exact):
             note("vv", size(_bracket(head(vert[i]), head(vert[j]))))
-            note("cv", size(_bracket(head(comp[i]), head(vert[j])) - lift_rows(Bv, rows[:limit])))
-            note("cc", size(_bracket(head(comp[i]), head(comp[j])) - lift_rows(Bc, rows[:limit])))
+            note("cv", size(_bracket(head(comp[i]), head(vert[j])) - lifted(Bv, rows[:limit])))
+            note("cc", size(_bracket(head(comp[i]), head(comp[j])) - lifted(Bc, rows[:limit])))
         for (xv, _), (xc, _) in zip(vert, comp):
             note("projection", size(xc[:limit, :n] - xv[:limit, n:]))
         for X, (xv, _), (xc, _) in zip(fields, vert, comp):
@@ -190,24 +213,27 @@ def run_identity_battery(
             m = min(limit, 20)
             x, y = rows[:m, :n], rows[:m, n:]
             note("derive_vv", np.abs(directional("vertical", xv[:m])))
-            value = X.at_rows(x)
+            value = run(X.at_rows, x)
             g = gradient.at_rows(x)
-            note("derive_cv", np.abs(directional("vertical", xc[:m]) - _dot(g, value)))
-            # The lifts at these points are finite, and with them X and its Jacobian.
+            note("derive_cv", np.abs(directional("vertical", xc[:m]) - dot(g, value)))
             hessian = gradient.value_and_jacobian_rows(x)[1]
-            jacobian = X.value_and_jacobian_rows(x)[1]
+            jacobian = run(lambda x: X.value_and_jacobian_rows(x)[1], x)
             g_grad = matvec(hessian, value) + matvec(jacobian.transpose(0, 2, 1), g)
-            note("derive_cc", np.abs(directional("complete", xc[:m]) - _dot(g_grad, y)))
+            note("derive_cc", np.abs(directional("complete", xc[:m]) - dot(g_grad, y)))
             # Velocity of the fiber-translation curve (x, y + t X(x)) at t = 0.
             fd = ((rows[:m, n:] + h * xv[:m, n:]) - (rows[:m, n:] - h * xv[:m, n:])) / (2 * h)
             note("fiber", size(np.concatenate([np.zeros((m, n)), fd], axis=1) - xv[:m]))
         for (i, j), (a, b), (Cv, Cc) in zip(pairs, coefficients, combo_lifts):
             m = min(limit, 10)
-            note("linear_v", size(lift_rows(Cv, rows[:m]) - (a * vert[i][0][:m] + b * vert[j][0][:m])))
-            note("linear_c", size(lift_rows(Cc, rows[:m]) - (a * comp[i][0][:m] + b * comp[j][0][:m])))
+            note("linear_v", size(lifted(Cv, rows[:m]) - (a * vert[i][0][:m] + b * vert[j][0][:m])))
+            note("linear_c", size(lifted(Cc, rows[:m]) - (a * comp[i][0][:m] + b * comp[j][0][:m])))
     if first is not None:
         raise first
+    return _records(worst)
 
+
+def _records(worst: dict) -> list:
+    """One record per identity, in ``IDENTITIES`` order, from the max residual of each."""
     return [
         {
             "identity": name,

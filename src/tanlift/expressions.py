@@ -566,7 +566,7 @@ def _function(printer: _SourcePrinter, args, exprs: list):
     return func
 
 
-def _compile(printer: _SourcePrinter, args, exprs: list, label: str, power_free=None):
+def _compile(printer: _SourcePrinter, args, exprs: list, label: str, power_free: bool):
     """``_function(printer, args, exprs)``, checked, as a caller of one sequence.
 
     The one gate of every compiled product.  It checks constants and
@@ -575,11 +575,11 @@ def _compile(printer: _SourcePrinter, args, exprs: list, label: str, power_free=
     sympy name, such as the ``DiracDelta`` of ``Abs``'s second derivative,
     is a NumericalError naming ``label``.  The caller it returns picks the
     scalars the code runs on.  With no power in any entry (``power_free``,
-    the caller's walk, or this one's if None), it passes the values as given, and Python
-    floats are cheaper and round alike; otherwise numpy scalars, since on
-    floats ``1/x`` raises ZeroDivisionError, a large ``x**2``
-    OverflowError, and ``(-1.0)**0.5`` is complex.  A kernel's entries hold
-    its Jacobian: x1*sin(x1*x2) has x1**2 there.
+    the caller's ``_power_free`` walk of ``exprs``), it passes the values
+    as given, and Python floats are cheaper and round alike; otherwise
+    numpy scalars, since on floats ``1/x`` raises ZeroDivisionError, a
+    large ``x**2`` OverflowError, and ``(-1.0)**0.5`` is complex.  A
+    kernel's entries hold its Jacobian: x1*sin(x1*x2) has x1**2 there.
     """
     unfit = _unfit_constant(exprs)
     if unfit:
@@ -588,8 +588,6 @@ def _compile(printer: _SourcePrinter, args, exprs: list, label: str, power_free=
     unknown = sorted(set(func.__code__.co_names) - func.__globals__.keys() - func.__builtins__.keys())
     if unknown:
         raise NumericalError(f"{label} has {', '.join(unknown)}, which numpy cannot evaluate")
-    if power_free is None:
-        power_free = _power_free(exprs)
     if power_free:
         return lambda values: func(*values)
     return lambda values: func(*np.array(values, dtype=float))
@@ -654,17 +652,18 @@ def structurally_zero(F: VectorField) -> bool:
 
 @functools.cache
 def scalar_function(dim: int, src: str) -> tuple:
-    """f, its gradient and its Hessian as functions of a coordinate vector, for ``src`` over x1..x_dim.
+    """f as a function of a coordinate vector, and its gradient field, for ``src`` over x1..x_dim.
 
-    The gradient is ``_derivative``'s column, a field on an unbounded chart whose kernel gives the Hessian.
+    The gradient is ``_derivative``'s column, a field on an unbounded chart
+    whose ``value`` is the gradient and whose ``jacobian_at`` is the Hessian.
     """
     table = chart_symbols(dim)
     args = list(table.values())
     expr = parse_expression(src, table)
-    value = _compile(_printer(), args, [expr], "function")
+    value = _compile(_printer(), args, [expr], "function", _power_free([expr]))
     chart = ChartManifold(dim=dim, name=f"R{dim}")
     gradient = field_from_symbolic(chart, tuple(_derivative(expr, x) for x in args), args, "gradient")
-    return (lambda x: value(x)[0]), gradient.value, gradient.jacobian_at
+    return (lambda x: value(x)[0]), gradient
 
 
 def _power_free(exprs) -> bool:
@@ -733,7 +732,7 @@ def fiber_dynamics_from_expressions(
     table = {**chart_symbols(n, "x"), **chart_symbols(n, "y"), **chart_symbols(control_dim, "u")}
     args = list(table.values())
     parsed = [parse_expression(src, table) for src in exprs]
-    f_vec = _compile(_printer(), args, parsed, "fiber dynamics")
+    f_vec = _compile(_printer(), args, parsed, "fiber dynamics", _power_free(parsed))
 
     def dynamics(x, y, u):
         u = np.zeros(control_dim) if u is None else u

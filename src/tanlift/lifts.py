@@ -232,8 +232,9 @@ def function_lift_eval(F: FunctionLift, v: TangentPoint) -> float:
 def directional_derivative(F: FunctionLift, W: LiftedVectorField, v: TangentPoint) -> float:
     """Finite-difference derivative of a lifted function along a lifted field.
 
-    Used by the identity battery to check the derivation rules of the
-    lifts (e.g. that vertical lifts annihilate vertical function lifts).
+    The per-point form of the identity battery's derivation checks (e.g.
+    that vertical lifts annihilate vertical function lifts), against which
+    the battery's row passes are tested.
     """
     w = v.as_vector()
     direction = W.at(v)

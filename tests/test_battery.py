@@ -63,7 +63,8 @@ def per_pair_battery(m, fields, samples, seed):
             for key, lift in (("linear_v", vertical_lift), ("linear_c", complete_lift)):
                 gap = lift(combo).at(v) - (a * lift(X).at(v) + b * lift(Y).at(v))
                 res[key] = max(res[key], np.max(np.abs(gap)))
-    f, grad, hess = _test_function(m)
+    f, gradient = _test_function(m)
+    grad, hess = gradient.value, gradient.jacobian_at
     fv = FunctionLift(manifold=m, base_fn=f, kind="vertical", gradient=grad)
     fc = FunctionLift(manifold=m, base_fn=f, kind="complete", gradient=grad)
     for X in fields:
@@ -115,7 +116,8 @@ def test_battery_equals_the_per_pair_brackets_with_powers_and_no_jacobian(chart)
 
 def test_the_test_function_has_a_term_in_every_coordinate():
     m3 = ChartManifold(dim=3, name="R3")
-    f, grad, hess = _test_function(m3)
+    f, gradient = _test_function(m3)
+    grad, hess = gradient.value, gradient.jacobian_at
     for x in ([0.3, -0.7, 1.1], [-1.2, 0.4, -0.2]):
         x = np.array(x)
         g = grad(x)
@@ -124,7 +126,8 @@ def test_the_test_function_has_a_term_in_every_coordinate():
         assert np.allclose(hess(x), central_differences(grad, x), rtol=0.0, atol=1e-9)
         assert np.array_equal(hess(x), hess(x).T)
     # On a 2-D chart the function is sin(x1) x2 + cos(x2), as it always was.
-    f2, grad2, _ = _test_function(builtin_manifold("R2"))
+    f2, gradient2 = _test_function(builtin_manifold("R2"))
+    grad2 = gradient2.value
     x = np.array([0.3, -0.7])
     assert f2(x) == np.sin(x[0]) * x[1] + np.cos(x[1])
     assert np.array_equal(grad2(x), [np.cos(x[0]) * x[1], np.sin(x[0]) - np.sin(x[1])])
@@ -133,7 +136,7 @@ def test_the_test_function_has_a_term_in_every_coordinate():
 def test_the_test_function_compiles_once_per_dimension_on_an_unbounded_chart():
     functions = _test_function(builtin_manifold("R2"))
     assert _test_function(builtin_manifold("S2-spherical")) is functions
-    gradient = functions[1].__self__
+    gradient = functions[1]
     assert gradient.manifold.dim == 2
     assert np.isinf(gradient.manifold.bounds).all()
 
@@ -182,6 +185,30 @@ def test_lift_check_work_does_not_grow_with_the_sample_count(monkeypatch):
 
 R2_STRIP = {"bounds": ([0.0, -np.inf], [1.0, np.inf])}
 SEED7_POINT0 = "sample point 0, (x, y) = [0.5003818664186679, 1.588855203878302, 0.551371380490387, -0.5495856200188163]"
+SEED3_CV_AT_POINT6 = (
+    "identity 'complete-vertical bracket is lifted base bracket' is not finite at sample point 6, "
+    "(x, y) = [1.5668442817806287, 0.34065175956363225, -0.057380669636337256, 0.5465540192976328]"
+)
+
+
+def _hand_written(t, where):
+    """A (func, jac) pair whose ``where`` part raises ValueError wherever x1 > t.
+
+    On R2 at seed 3, sample point 6 has x1 = 1.5668... and point 16 is the
+    first with x1 > 1.6.
+    """
+
+    def func(x):
+        if where == "value" and x[0] > t:
+            raise ValueError(f"H is undefined at x1 = {float(x[0])!r}")
+        return np.array([np.sin(x[1]), 1.0 + x[0] * x[1]])
+
+    def jac(x):
+        if x[0] > t:
+            raise ValueError(f"H has no Jacobian at x1 = {float(x[0])!r}")
+        return np.array([[0.0, np.cos(x[1])], [x[1], x[0]]])
+
+    return func, jac if where == "jacobian" else None
 
 
 @pytest.mark.parametrize(
@@ -233,18 +260,41 @@ SEED7_POINT0 = "sample point 0, (x, y) = [0.5003818664186679, 1.588855203878302,
             "coordinates [-0.00019499707625461995, 0.6158715794892776] outside the domain of chart 'strip'",
         ),
         # The bracket exp(480*x1) overflows at sample point 6 only among the first points.
+        (None, {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"]}, 10, 3, NumericalError, SEED3_CV_AT_POINT6),
+        # A hand-written field raises at point 16, in the lift pass: the overflow at point 6 comes first.
         (
             None,
-            {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"]},
-            10,
+            {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"], "H": _hand_written(1.6, "value")},
+            50,
             3,
             NumericalError,
-            "identity 'complete-vertical bracket is lifted base bracket' is not finite at sample point 6, "
-            "(x, y) = [1.5668442817806287, 0.34065175956363225, -0.057380669636337256, 0.5465540192976328]",
+            SEED3_CV_AT_POINT6,
         ),
+        # Its Jacobian alone raises at point 16, in the complete lift's pass: the overflow still comes first.
+        (
+            None,
+            {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"], "H": _hand_written(1.6, "jacobian")},
+            50,
+            3,
+            NumericalError,
+            SEED3_CV_AT_POINT6,
+        ),
+        # It raises at point 6 itself, in the lifts, before that point's brackets overflow.
+        (
+            None,
+            {"X": ["exp(240*x1)", "0"], "Y": ["0", "exp(240*x1)"], "H": _hand_written(1.55, "jacobian")},
+            50,
+            3,
+            ValueError,
+            "H has no Jacobian at x1 = 1.5668442817806287",
+        ),
+        # With nothing failing before it, its own exception at point 16 is raised.
+        (None, {"A": ["sin(x2)", "cos(x1)"], "H": _hand_written(1.6, "value")}, 50, 3, ValueError,
+         "H is undefined at x1 = 1.6843187091317198"),
     ],
     ids=["non-finite-at-0-before-dirac", "dirac-before-later-non-finite", "stencil-leaves-at-once",
-         "stencil-leaves-later", "derivation-leaves", "bracket-overflows"],
+         "stencil-leaves-later", "derivation-leaves", "bracket-overflows", "hand-written-raises-later",
+         "hand-written-jacobian-raises-later", "hand-written-raises-at-the-same-point", "hand-written-raises-first"],
 )
 def test_battery_raises_what_a_pass_point_by_point_raises_first(chart, exprs, samples, seed, error, message):
     # Texts recorded from the point-by-point battery this one replaced.
@@ -252,10 +302,25 @@ def test_battery_raises_what_a_pass_point_by_point_raises_first(chart, exprs, sa
         m = builtin_manifold("R2")
     else:
         m = ChartManifold(dim=2, name="strip", sample_bounds=chart, **R2_STRIP)
-    fields = [field_from_expressions(m, column, name) for name, column in exprs.items()]
+    fields = [
+        field_from_expressions(m, column, name) if isinstance(column, list) else field_from_callable(m, *column, name)
+        for name, column in exprs.items()
+    ]
     with pytest.raises(error) as caught:
         run_identity_battery(m, fields, samples, seed)
     assert str(caught.value) == message
+
+
+def test_a_battery_over_no_sample_points_evaluates_no_field():
+    # [X,Y]'s Jacobian has a DiracDelta, which no evaluation meets at zero points.
+    m = builtin_manifold("R2")
+    fields = [
+        field_from_expressions(m, ["pow(1.9 - x1, 0.5)", "1"], "X"),
+        field_from_expressions(m, ["x2", "pow(pow(x1, 2), 0.5)"], "Y"),
+    ]
+    records = run_identity_battery(m, fields, 0, 3)
+    assert records == per_pair_battery(m, fields, 0, 3)
+    assert all(r["max_residual"] == 0.0 and r["pass"] for r in records)
 
 
 def test_a_derivation_point_outside_the_chart_keeps_its_coordinates_for_a_callable_field():

@@ -297,8 +297,12 @@ def test_the_constant_walk_of_a_parse_visits_each_node_it_forms_once(monkeypatch
 
 def test_the_compiled_caller_runs_power_free_entries_on_the_values_given_and_powers_on_numpy_scalars():
     x1, x2 = chart_symbols(2).values()
-    power_free = expressions._compile(expressions._printer(), [x1, x2], [x1 * x2 - 1], "f")
-    powered = expressions._compile(expressions._printer(), [x1, x2], [x1 / x2], "g")
+    entries = {"f": [x1 * x2 - 1], "g": [x1 / x2]}
+    assert [expressions._power_free(exprs) for exprs in entries.values()] == [True, False]
+    power_free, powered = (
+        expressions._compile(expressions._printer(), [x1, x2], exprs, label, expressions._power_free(exprs))
+        for label, exprs in entries.items()
+    )
     assert [type(v) for v in power_free([2.0, 3.0])] == [float]
     assert [type(v) for v in powered([2.0, 3.0])] == [np.float64]
     # On Python floats 1/0.0 raises ZeroDivisionError; on numpy scalars it is inf.
